@@ -19,9 +19,8 @@ zx of the canonical orientation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -109,11 +108,7 @@ def triangle_ratio(t: StochasticTournament, tri: Triangle) -> float:
     """Balance ratio lambda = (p_xy p_yz p_zx) / (p_yx p_zy p_xz) for the
     canonical orientation x -> y -> z -> x.  Reversing the orientation
     inverts the ratio."""
-    ratio = 1.0
-    for u, v in ((tri.x, tri.y), (tri.y, tri.z), (tri.z, tri.x)):
-        p = t.prob(u, v)
-        ratio *= p / (1.0 - p)
-    return ratio
+    return math.exp(log_triangle_ratio(t, tri))
 
 
 def is_balanced(t: StochasticTournament, tri: Triangle, tol: float = TAU) -> bool:
@@ -122,7 +117,8 @@ def is_balanced(t: StochasticTournament, tri: Triangle, tol: float = TAU) -> boo
 
 
 def is_eps_balanced(t: StochasticTournament, tri: Triangle, eps: float) -> bool:
-    """True when (1+eps)^-1 <= lambda <= 1+eps.
+    """True when (1+eps)^-1 <= lambda <= 1+eps, evaluated in log form as
+    |log lambda| <= log1p(eps).
 
     The interval is closed under inversion, so the predicate does not
     depend on the orientation.  ``eps`` may exceed 1 (needed when checking
@@ -130,9 +126,7 @@ def is_eps_balanced(t: StochasticTournament, tri: Triangle, eps: float) -> bool:
     """
     if eps <= 0.0:
         raise ParameterOutOfRangeError(f"eps must be > 0, got {eps}")
-    lam = triangle_ratio(t, tri)
-    hi = 1.0 + eps
-    return 1.0 / hi <= lam <= hi
+    return abs(log_triangle_ratio(t, tri)) <= math.log1p(eps)
 
 
 def discrepancy(t: StochasticTournament, tri: Triangle) -> Discrepancy:
@@ -143,17 +137,24 @@ def discrepancy(t: StochasticTournament, tri: Triangle) -> Discrepancy:
     edge rebalances the triangle exactly; ``value`` is in [0, 1] and is 0
     (within tolerance) iff the triangle is balanced.
     """
-    x, y, z = tri.vertices()
-    p_xy = t.prob(x, y)
-    p_yz = t.prob(y, z)
-    p_zx = t.prob(z, x)
-    p_yx = 1.0 - p_xy
-    p_zy = 1.0 - p_yz
-    p_xz = 1.0 - p_zx
+    p = {(u, v): t.prob(u, v) for u, v in permutations(tri.vertices(), 2)}
+    return Discrepancy(*_disc_components(p, *tri.vertices()))
+
+
+def _disc_components(p, x, y, z):
+    """(alpha, beta, gamma) of triangles x -> y -> z -> x, reading
+    ``p[u, v] = p_uv``; elementwise when x, y, z index a probability matrix.
+
+    Both directions of each edge are read rather than recomputed as
+    ``1 - p``: for a weight near 0 stored as its complement, ``1 - (1 - w)``
+    keeps almost none of the digits of w.
+    """
+    p_xy, p_yz, p_zx = p[x, y], p[y, z], p[z, x]
+    p_yx, p_zy, p_xz = p[y, x], p[z, y], p[x, z]
     alpha = p_xy - p_zy * p_xz / (p_zy * p_xz + p_yz * p_zx)
     beta = p_yz - p_yx * p_xz / (p_yx * p_xz + p_xy * p_zx)
     gamma = p_zx - p_yx * p_zy / (p_yx * p_zy + p_xy * p_yz)
-    return Discrepancy(alpha, beta, gamma)
+    return alpha, beta, gamma
 
 
 def enumerate_triangles(n: int) -> Iterator[Triangle]:
@@ -162,21 +163,28 @@ def enumerate_triangles(n: int) -> Iterator[Triangle]:
         yield Triangle(x, y, z)
 
 
-class _Kahan:
-    """Compensated accumulator; O(n^3) discrepancy sums lose precision
-    with naive addition."""
+def _triangle_slabs(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Every triangle x < y < z as one slab ``(x, ys, zs)`` per x, in
+    lexicographic order; working memory is O(n^2) per slab."""
+    for x in range(n - 2):
+        ys, zs = np.triu_indices(n - x - 1, k=1)
+        yield x, ys + (x + 1), zs + (x + 1)
 
-    __slots__ = ("s", "c")
 
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
+def _log_odds_matrix(p: np.ndarray) -> np.ndarray:
+    """Skew-symmetric log-odds matrix ``L[x, y] = log(p_xy / p_yx)`` of a
+    probability matrix; the diagonal is 0."""
+    with np.errstate(invalid="ignore"):
+        ell = p / p.T
+    np.log(ell, out=ell)
+    np.fill_diagonal(ell, 0.0)
+    return ell
 
-    def add(self, v: float):
-        y = v - self.c
-        u = self.s + y
-        self.c = (u - self.s) - y
-        self.s = u
+
+def _curl(ell: np.ndarray, x, y, z):
+    """log lambda of triangles x -> y -> z -> x read off the log-odds
+    matrix; elementwise over index arrays."""
+    return ell[x, y] + ell[y, z] + ell[z, x]
 
 
 @dataclass(frozen=True)
@@ -189,54 +197,24 @@ class TotalDiscrepancy:
     per_root: np.ndarray
 
 
-def _disc_value(p: np.ndarray, x: int, y: int, z: int) -> float:
-    p_xy = p[x, y]
-    p_yz = p[y, z]
-    p_zx = p[z, x]
-    p_yx = 1.0 - p_xy
-    p_zy = 1.0 - p_yz
-    p_xz = 1.0 - p_zx
-    alpha = p_xy - p_zy * p_xz / (p_zy * p_xz + p_yz * p_zx)
-    beta = p_yz - p_yx * p_xz / (p_yx * p_xz + p_xy * p_zx)
-    gamma = p_zx - p_yx * p_zy / (p_yx * p_zy + p_xy * p_yz)
-    return max(abs(alpha), abs(beta), abs(gamma))
+def total_discrepancy(t: StochasticTournament) -> TotalDiscrepancy:
+    """Exhaustive O(n^3) discrepancy sums, one slab (every y < z above a
+    fixed x) at a time in O(n^2) working memory.
 
-
-def total_discrepancy(t: StochasticTournament, threads: int = 1) -> TotalDiscrepancy:
-    """Exhaustive O(n^3) discrepancy sums, lexicographic triangle order.
-
-    With ``threads > 1`` the triangle list is split into fixed contiguous
-    chunks summed independently and combined in chunk order, so the result
-    does not depend on scheduling.
+    ``total`` is ``math.fsum`` over the per-slab ``math.fsum`` partials;
+    ``per_root`` adds each slab into its three vertices with
+    ``np.bincount``.  The same input always gives bit-identical sums.
     """
     p = t.prob_matrix()
-    triangles = list(combinations(range(t.n), 3))
-
-    def chunk_sums(chunk):
-        total = _Kahan()
-        per_root = [_Kahan() for _ in range(t.n)]
-        for x, y, z in chunk:
-            d = _disc_value(p, x, y, z)
-            total.add(d)
-            per_root[x].add(d)
-            per_root[y].add(d)
-            per_root[z].add(d)
-        return total.s, np.array([k.s for k in per_root])
-
-    if threads <= 1 or len(triangles) < 2 * threads:
-        total, per_root = chunk_sums(triangles)
-        return TotalDiscrepancy(total, per_root)
-
-    bounds = np.linspace(0, len(triangles), threads + 1, dtype=int)
-    chunks = [triangles[bounds[i]:bounds[i + 1]] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(chunk_sums, chunks))
-    total = _Kahan()
+    partials = []
     per_root = np.zeros(t.n)
-    for sub_total, sub_roots in results:  # fixed chunk order -> deterministic
-        total.add(sub_total)
-        per_root += sub_roots
-    return TotalDiscrepancy(total.s, per_root)
+    for x, ys, zs in _triangle_slabs(t.n):
+        d = np.abs(_disc_components(p, x, ys, zs)).max(axis=0)
+        partials.append(math.fsum(d.tolist()))
+        per_root[x] += partials[-1]
+        per_root += np.bincount(ys, weights=d, minlength=t.n)
+        per_root += np.bincount(zs, weights=d, minlength=t.n)
+    return TotalDiscrepancy(math.fsum(partials), per_root)
 
 
 def log_cycle_ratio(t: StochasticTournament, cycle: DirectedCycle) -> float:
@@ -249,8 +227,12 @@ def log_cycle_ratio(t: StochasticTournament, cycle: DirectedCycle) -> float:
 
 
 def cycle_ratio(t: StochasticTournament, cycle: DirectedCycle) -> float:
-    """lambda of a directed cycle; multiplicative over cycle sums."""
-    return math.exp(log_cycle_ratio(t, cycle))
+    """lambda of a directed cycle; multiplicative over cycle sums.
+    ``math.inf`` when lambda overflows a float."""
+    try:
+        return math.exp(log_cycle_ratio(t, cycle))
+    except OverflowError:
+        return math.inf
 
 
 def is_cycle_balanced(

@@ -20,7 +20,7 @@ import sys
 
 from ._version import __version__
 from .balance import total_discrepancy
-from .errors import TournamentError
+from .errors import ParameterOutOfRangeError, TournamentError
 from .fileio import (
     load_tournament,
     load_tree,
@@ -42,7 +42,13 @@ from .tournament import TAU, gen_bt, gen_cyclic, gen_random
 
 
 def _default_tol() -> float:
-    return float(os.environ.get("BT_DEFAULT_TOL", TAU))
+    raw = os.environ.get("BT_DEFAULT_TOL", str(TAU))
+    try:
+        return float(raw)
+    except ValueError:
+        raise ParameterOutOfRangeError(
+            f"BT_DEFAULT_TOL={raw!r} is not a number"
+        ) from None
 
 
 def _emit(report: dict) -> None:
@@ -121,18 +127,14 @@ def cmd_test(args) -> int:
 
 def cmd_disc(args) -> int:
     doc = load_tournament(args.file)
-    td = total_discrepancy(doc.tournament, threads=args.threads)
+    td = total_discrepancy(doc.tournament)
     result: dict = {"total": td.total}
     if args.per_root:
         result["per_root"] = [float(v) for v in td.per_root]
     _emit(
         make_report(
             "disc",
-            config={
-                "file": args.file,
-                "per_root": args.per_root,
-                "threads": args.threads,
-            },
+            config={"file": args.file, "per_root": args.per_root},
             result=result,
         )
     )
@@ -267,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disc", help="exhaustive discrepancy sums")
     p.add_argument("file")
     p.add_argument("--per-root", action="store_true", dest="per_root")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_disc)
 
     p = sub.add_parser("repair", help="rewrite into a reversible tournament")
@@ -278,10 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit scores and report the verification eps")
     p.add_argument("file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--root", type=int, default=None)
-    group.add_argument("--lsq", action="store_true",
-                       help="least-squares fit (the default)")
+    p.add_argument("--root", type=int, default=None,
+                   help="read scores off this root (default: least-squares fit)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("gen", help="generate a tournament file")
@@ -316,9 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (TournamentError, OSError, ValueError) as exc:
         print(f"bttest: error: {exc}", file=sys.stderr)

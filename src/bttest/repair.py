@@ -15,19 +15,20 @@ discrepancies over its triangles keeps the total movement below
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .balance import (
-    _disc_value,
+    _curl,
+    _disc_components,
+    _log_odds_matrix,
     _tree_structure,
-    enumerate_triangles,
-    is_eps_balanced,
+    _triangle_slabs,
     total_discrepancy,
 )
 from .errors import (
@@ -39,7 +40,7 @@ from .errors import (
     PreconditionFailedError,
     TooFewVerticesError,
 )
-from .tournament import ETA, TAU, StochasticTournament, check_reversible, pair_index
+from .tournament import ETA, TAU, StochasticTournament, check_reversible
 
 #: Desk-scale ceiling for the exhaustive L1 distance oracle.
 DESK_SCALE = 8
@@ -100,44 +101,34 @@ def repair_with_root(
     [eta, 1 - eta] are clamped and flagged.
     """
     t._check_vertex(r)
-    new_weights = t.weights.copy()
-    edits = []
-    clamped = []
-    bound_ok = True
-    eta = t.eta
-    for u, v, old in t.edges():
-        if u == r or v == r:
-            continue
-        p_ur = t.prob(u, r)
-        p_rv = t.prob(r, v)
-        num = (1.0 - p_rv) * (1.0 - p_ur)  # p_vr * p_ru
-        den = p_rv * p_ur
-        # log lambda of triangle (u, v, r) traversed u -> v -> r -> u
-        imbalance = math.log(old / (1.0 - old)) + math.log(num / den)
-        if abs(imbalance) <= tol:
-            continue
-        new = den / (den + num)
-        if new < eta:
-            new = eta
-            clamped.append((u, v))
-        elif new > 1.0 - eta:
-            new = 1.0 - eta
-            clamped.append((u, v))
-        new_weights[pair_index(t.n, min(u, v), max(u, v))] = new
-        edits.append((u, v, old, new))
-    repaired = StochasticTournament(t.n, new_weights, t.low_wins, eta)
-    # every |edit| must stay within the discrepancy of its triangle
+    lo, hi = np.triu_indices(t.n, k=1)  # pair-lexicographic, like weights
+    u = np.where(t.low_wins, lo, hi)  # stored orientation u -> v
+    v = np.where(t.low_wins, hi, lo)
+    idx = np.flatnonzero((u != r) & (v != r))
+    u, v, old = u[idx], v[idx], t.weights[idx]
     p = t.prob_matrix()
-    for u, v, old, new in edits:
-        if abs(new - old) > _disc_value(p, u, v, r) + 1e-12:
-            bound_ok = False
-    total = math.fsum(abs(new - old) for _, _, old, new in edits)
+    # log lambda of triangle (u, v, r) traversed u -> v -> r -> u
+    hit = np.abs(_curl(_log_odds_matrix(p), u, v, r)) > tol
+    idx, u, v, old = idx[hit], u[hit], v[hit], old[hit]
+    p_ur, p_rv = p[u, r], p[r, v]
+    num = (1.0 - p_rv) * (1.0 - p_ur)  # p_vr * p_ru
+    den = p_rv * p_ur
+    new = den / (den + num)
+    clamp = (new < t.eta) | (new > 1.0 - t.eta)
+    new = np.clip(new, t.eta, 1.0 - t.eta)
+    new_weights = t.weights.copy()
+    new_weights[idx] = new
+    repaired = StochasticTournament(t.n, new_weights, t.low_wins, t.eta)
+    # every |edit| must stay within the discrepancy of its triangle
+    disc = np.abs(_disc_components(p, u, v, r)).max(axis=0)
+    change = np.abs(new - old)
+    u, v = u.tolist(), v.tolist()
     return repaired, RepairReport(
         root=r,
-        edits=tuple(edits),
-        total_change=total,
-        per_edge_bound_ok=bound_ok,
-        clamped=tuple(clamped),
+        edits=tuple(zip(u, v, old.tolist(), new.tolist())),
+        total_change=math.fsum(change.tolist()),
+        per_edge_bound_ok=bool(np.all(change <= disc + 1e-12)),
+        clamped=tuple((a, b) for a, b, c in zip(u, v, clamp) if c),
     )
 
 
@@ -237,9 +228,20 @@ def check_seven_eps(
         raise PreconditionFailedError(
             f"(t, pi) is not {eps}-approximately reversible"
         )
+    bound = math.log1p(7.0 * eps)
+    ell = _log_odds_matrix(t.prob_matrix())
     return all(
-        is_eps_balanced(t, tri, 7.0 * eps) for tri in enumerate_triangles(t.n)
+        np.all(np.abs(_curl(ell, x, ys, zs)) <= bound)
+        for x, ys, zs in _triangle_slabs(t.n)
     )
+
+
+def _logistic(z: float) -> float:
+    """1 / (1 + e^-z); 0.0 where e^-z overflows (z below about -709)."""
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
 
 
 def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
@@ -289,8 +291,7 @@ def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
                 weights[i] = w
                 low_wins[i] = u < v
             else:
-                delta = log_pi[hi] - log_pi[lo]
-                w = 1.0 / (1.0 + math.exp(-delta))
+                w = _logistic(log_pi[hi] - log_pi[lo])
                 if w < eta:
                     w = eta
                     clamped += 1
@@ -319,30 +320,34 @@ def fit_scores_least_squares(t: StochasticTournament) -> np.ndarray:
     inputs are recovered up to scale; otherwise this is the L2-optimal
     log-odds potential.
     """
-    pm = t.prob_matrix()
-    np.fill_diagonal(pm, 0.5)
-    ell = np.log(pm / pm.T)
-    phi = ell.sum(axis=1) / t.n
+    phi = _log_odds_matrix(t.prob_matrix()).sum(axis=1) / t.n
     return np.exp(phi - phi[0])
 
 
 def min_verification_eps(
-    t: StochasticTournament,
-    scores: Sequence[float] | np.ndarray,
-    resolution: float = 1e-6,
+    t: StochasticTournament, scores: Sequence[float] | np.ndarray
 ) -> float | None:
-    """Smallest eps in (0, 1] at which ``verify_approx_bt`` passes, located
-    by bisection to ``resolution``; None when even eps = 1 fails."""
+    """Smallest eps in (0, 1] at which ``verify_approx_bt`` passes; None
+    when even eps = 1 fails.
+
+    Closed form: the largest of ``max(p_xy / pred_xy, pred_xy / p_xy) - 1``
+    over ordered pairs, with ``pred_xy = a(x) / (a(x) + a(y))``, floored at
+    machine epsilon.  Rounding can leave it a few ulps short of passing,
+    so ``1 + eps`` is then stepped up one float at a time until the check
+    passes (at eps = 1 at the latest).
+    """
     if not verify_approx_bt(t, scores, 1.0):
         return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if verify_approx_bt(t, scores, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    a = np.asarray(scores, dtype=float)
+    p = t.prob_matrix()
+    pred = a[:, None] / (a[:, None] + a[None, :])
+    off = ~np.eye(t.n, dtype=bool)
+    p, pred = p[off], pred[off]
+    worst = float(np.max(np.maximum(p / pred, pred / p)))
+    hi = min(max(worst, 1.0 + sys.float_info.epsilon), 2.0)
+    while not verify_approx_bt(t, a, hi - 1.0):
+        hi = math.nextafter(hi, math.inf)
+    return hi - 1.0
 
 
 @dataclass(frozen=True)
@@ -414,16 +419,9 @@ def l1_distance_oracle(
     upper = min(upper, best)
 
     lower = 0.0
-    for tri in enumerate_triangles(t.n):
-        x, y, z = tri.vertices()
-        log_lam = math.log(p[x, y] / p[y, x])
-        log_lam += math.log(p[y, z] / p[z, y])
-        log_lam += math.log(p[z, x] / p[x, z])
-        if abs(log_lam) > tol:
-            p_xy, p_yz, p_zx = p[x, y], p[y, z], p[z, x]
-            p_yx, p_zy, p_xz = 1.0 - p_xy, 1.0 - p_yz, 1.0 - p_zx
-            alpha = p_xy - p_zy * p_xz / (p_zy * p_xz + p_yz * p_zx)
-            beta = p_yz - p_yx * p_xz / (p_yx * p_xz + p_xy * p_zx)
-            gamma = p_zx - p_yx * p_zy / (p_yx * p_zy + p_xy * p_yz)
-            lower = max(lower, min(abs(alpha), abs(beta), abs(gamma)))
+    ell = _log_odds_matrix(p)
+    for x, ys, zs in _triangle_slabs(t.n):
+        unbalanced = np.abs(_curl(ell, x, ys, zs)) > tol
+        fixes = np.abs(_disc_components(p, x, ys, zs)).min(axis=0)
+        lower = max(lower, float(fixes[unbalanced].max(initial=0.0)))
     return DistanceBounds(upper=upper, lower=min(lower, upper))

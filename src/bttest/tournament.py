@@ -130,18 +130,12 @@ class StochasticTournament:
         Intended for desk-scale exhaustive operations; the constant-query
         tester never calls this.
         """
+        upper = np.triu(np.ones((self.n, self.n), dtype=bool), k=1)
+        back = 1.0 - self.weights
         p = np.zeros((self.n, self.n))
-        i = 0
-        for lo in range(self.n - 1):
-            for hi in range(lo + 1, self.n):
-                w = self.weights[i]
-                if self.low_wins[i]:
-                    p[lo, hi] = w
-                    p[hi, lo] = 1.0 - w
-                else:
-                    p[hi, lo] = w
-                    p[lo, hi] = 1.0 - w
-                i += 1
+        # boolean-mask assignment fills (lo, hi) in pair-lexicographic order
+        p[upper] = np.where(self.low_wins, self.weights, back)
+        p.T[upper] = np.where(self.low_wins, back, self.weights)
         return p
 
     def __eq__(self, other) -> bool:

@@ -91,6 +91,11 @@ class TestTest:
         code, report = run(capsys, "test", cyclic_file, "--eps", "0.5")
         assert report["config"]["tol"] == 0.125
 
+    def test_tol_env_not_a_number(self, capsys, monkeypatch):
+        monkeypatch.setenv("BT_DEFAULT_TOL", "abc")
+        assert main(["--version"]) == 2
+        assert capsys.readouterr().err.startswith("bttest: error: BT_DEFAULT_TOL")
+
     def test_bad_eps(self, capsys, cyclic_file):
         code = main(["test", cyclic_file, "--eps", "2.0"])
         assert code == 2
@@ -104,7 +109,7 @@ class TestDisc:
         assert "per_root" not in report["result"]
 
     def test_per_root(self, capsys, cyclic_file):
-        _, report = run(capsys, "disc", cyclic_file, "--per-root", "--threads", "2")
+        _, report = run(capsys, "disc", cyclic_file, "--per-root")
         per_root = report["result"]["per_root"]
         assert len(per_root) == 3
         assert sum(per_root) == pytest.approx(3 * report["result"]["total"])

@@ -98,6 +98,31 @@ class TestRepairWithRoot:
         }
         assert edited == expected
 
+    def test_edit_list_matches_per_edge_reference(self):
+        # one edge at a time, in pair order and stored orientation, with the
+        # balancing value written as den / (den + num)
+        def reference(t, r):
+            edits = []
+            for u, v, old in t.edges():
+                if r in (u, v):
+                    continue
+                p_ur, p_rv = t.prob(u, r), t.prob(r, v)
+                num = (1.0 - p_rv) * (1.0 - p_ur)
+                den = p_rv * p_ur
+                if abs(math.log(old / (1.0 - old)) + math.log(num / den)) <= bt.TAU:
+                    continue
+                new = min(max(den / (den + num), t.eta), 1.0 - t.eta)
+                edits.append((u, v, old, new))
+            return tuple(edits)
+
+        rng = np.random.default_rng(12)
+        corrupted = bt.set_prob(bt.set_prob(bt.gen_bt(np.linspace(1, 3, 9)), 5, 2, 0.3), 1, 6, 0.8)
+        mixed = bt.StochasticTournament(9, bt.gen_random(9, 4).weights, rng.random(36) < 0.5)
+        clamping = bt.gen_cyclic(5, 0.7, eta=0.3)
+        for t in (corrupted, mixed, clamping):
+            for r in range(t.n):
+                assert bt.repair_with_root(t, r)[1].edits == reference(t, r)
+
     def test_vertex_validation(self, cyclic3):
         with pytest.raises(bt.VertexOutOfRangeError):
             bt.repair_with_root(cyclic3, 3)
@@ -304,6 +329,15 @@ class TestExtendTree:
             t = bt.extend_tree(tw, eta=0.2)
         # pi = (1, 4, 16): chord odds 16 -> 16/17 clamped to 1 - eta
         assert t.prob(0, 2) == pytest.approx(0.8)
+
+    def test_long_path_clamps_instead_of_overflowing(self):
+        # pi falls by a factor 1e12 per step, so the chord (0, 29) has
+        # log-odds about -801 and e^801 overflows a float
+        tw = bt.TreeWeights(30, tuple((v, v + 1, 1e-12) for v in range(29)))
+        with pytest.warns(bt.ClampWarning):
+            t = bt.extend_tree(tw)
+        assert t.prob(0, 29) == bt.ETA
+        assert all(t.prob(v, v + 1) == 1e-12 for v in range(29))
 
     def test_tree_weight_outside_band(self):
         tw = bt.TreeWeights(3, ((0, 1, 1e-14), (0, 2, 0.5)))
