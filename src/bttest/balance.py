@@ -97,11 +97,8 @@ class Discrepancy:
 
 def log_triangle_ratio(t: StochasticTournament, tri: Triangle) -> float:
     """log of the balance ratio; exactly 3 edge queries."""
-    total = 0.0
-    for u, v in ((tri.x, tri.y), (tri.y, tri.z), (tri.z, tri.x)):
-        p = t.prob(u, v)
-        total += math.log(p / (1.0 - p))
-    return total
+    x, y, z = tri.vertices()
+    return t.log_odds(x, y) + t.log_odds(y, z) + t.log_odds(z, x)
 
 
 def triangle_ratio(t: StochasticTournament, tri: Triangle) -> float:
@@ -171,16 +168,6 @@ def _triangle_slabs(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         yield x, ys + (x + 1), zs + (x + 1)
 
 
-def _log_odds_matrix(p: np.ndarray) -> np.ndarray:
-    """Skew-symmetric log-odds matrix ``L[x, y] = log(p_xy / p_yx)`` of a
-    probability matrix; the diagonal is 0."""
-    with np.errstate(invalid="ignore"):
-        ell = p / p.T
-    np.log(ell, out=ell)
-    np.fill_diagonal(ell, 0.0)
-    return ell
-
-
 def _curl(ell: np.ndarray, x, y, z):
     """log lambda of triangles x -> y -> z -> x read off the log-odds
     matrix; elementwise over index arrays."""
@@ -219,11 +206,7 @@ def total_discrepancy(t: StochasticTournament) -> TotalDiscrepancy:
 
 def log_cycle_ratio(t: StochasticTournament, cycle: DirectedCycle) -> float:
     """log lambda of a directed cycle: sum of edge log-odds along it."""
-    total = 0.0
-    for u, v in cycle.edges():
-        p = t.prob(u, v)
-        total += math.log(p / (1.0 - p))
-    return total
+    return sum(t.log_odds(u, v) for u, v in cycle.edges())
 
 
 def cycle_ratio(t: StochasticTournament, cycle: DirectedCycle) -> float:

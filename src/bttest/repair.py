@@ -26,7 +26,6 @@ from scipy.optimize import minimize_scalar
 from .balance import (
     _curl,
     _disc_components,
-    _log_odds_matrix,
     _tree_structure,
     _triangle_slabs,
     total_discrepancy,
@@ -40,7 +39,7 @@ from .errors import (
     PreconditionFailedError,
     TooFewVerticesError,
 )
-from .tournament import ETA, TAU, StochasticTournament, check_reversible
+from .tournament import ETA, TAU, StochasticTournament, check_reversible, logit
 
 #: Desk-scale ceiling for the exhaustive L1 distance oracle.
 DESK_SCALE = 8
@@ -108,7 +107,7 @@ def repair_with_root(
     u, v, old = u[idx], v[idx], t.weights[idx]
     p = t.prob_matrix()
     # log lambda of triangle (u, v, r) traversed u -> v -> r -> u
-    hit = np.abs(_curl(_log_odds_matrix(p), u, v, r)) > tol
+    hit = np.abs(_curl(t.log_odds_matrix(), u, v, r)) > tol
     idx, u, v, old = idx[hit], u[hit], v[hit], old[hit]
     p_ur, p_rv = p[u, r], p[r, v]
     num = (1.0 - p_rv) * (1.0 - p_ur)  # p_vr * p_ru
@@ -165,13 +164,7 @@ def scores_from_root(t: StochasticTournament, r: int) -> np.ndarray:
     they form an eps-approximate score vector.
     """
     t._check_vertex(r)
-    a = np.empty(t.n)
-    a[r] = 1.0
-    for y in range(t.n):
-        if y != r:
-            p_yr = t.prob(y, r)
-            a[y] = p_yr / (1.0 - p_yr)
-    return a
+    return np.exp([t.log_odds(y, r) if y != r else 0.0 for y in range(t.n)])
 
 
 def verify_approx_bt(
@@ -229,7 +222,7 @@ def check_seven_eps(
             f"(t, pi) is not {eps}-approximately reversible"
         )
     bound = math.log1p(7.0 * eps)
-    ell = _log_odds_matrix(t.prob_matrix())
+    ell = t.log_odds_matrix()
     return all(
         np.all(np.abs(_curl(ell, x, ys, zs)) <= bound)
         for x, ys, zs in _triangle_slabs(t.n)
@@ -266,10 +259,8 @@ def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
     # log odds of parent beating child, keyed by child
     edge_lo: dict[int, float] = {}
     for u, v, w in tw.edges:
-        if parent[v] == u:  # stored direction is parent -> child
-            edge_lo[v] = math.log(w / (1.0 - w))
-        else:  # stored direction child -> parent: parent's odds invert
-            edge_lo[u] = math.log((1.0 - w) / w)
+        child, sign = (v, 1.0) if parent[v] == u else (u, -1.0)
+        edge_lo[child] = sign * logit(w)
 
     log_pi = np.zeros(n)
     for v in sorted(range(n), key=lambda v: depth[v]):
@@ -320,7 +311,7 @@ def fit_scores_least_squares(t: StochasticTournament) -> np.ndarray:
     inputs are recovered up to scale; otherwise this is the L2-optimal
     log-odds potential.
     """
-    phi = _log_odds_matrix(t.prob_matrix()).sum(axis=1) / t.n
+    phi = t.log_odds_matrix().sum(axis=1) / t.n
     return np.exp(phi - phi[0])
 
 
@@ -419,7 +410,7 @@ def l1_distance_oracle(
     upper = min(upper, best)
 
     lower = 0.0
-    ell = _log_odds_matrix(p)
+    ell = t.log_odds_matrix()
     for x, ys, zs in _triangle_slabs(t.n):
         unbalanced = np.abs(_curl(ell, x, ys, zs)) > tol
         fixes = np.abs(_disc_components(p, x, ys, zs)).min(axis=0)

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .balance import Triangle, is_balanced, is_eps_balanced
+from .balance import Triangle, log_triangle_ratio
 from .errors import ParameterOutOfRangeError, TooFewVerticesError
 from .tournament import TAU, StochasticTournament
 
@@ -34,6 +35,9 @@ from .tournament import TAU, StochasticTournament
 RNG_ALGORITHM = "numpy-pcg64"
 
 _FY_LOWS = np.arange(3)
+
+#: Triangles drawn per call into the generator; bounds the tester's memory.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -107,45 +111,39 @@ def sample_triangle(rng: np.random.Generator, n: int) -> Triangle:
     triple of distinct vertices in O(1) space; dropping the order makes the
     unordered triple exactly uniform.
     """
-    draws = rng.integers(_FY_LOWS, n)
-    return Triangle(*_fisher_yates_triple(draws))
+    return next(_triangles(rng, n, 1))
 
 
-def _fisher_yates_triple(draws) -> list[int]:
-    swapped: dict[int, int] = {}
-    chosen = []
-    for i in range(3):
-        j = int(draws[i])
-        vi = swapped.get(i, i)
-        vj = swapped.get(j, j)
-        swapped[j] = vi
-        swapped[i] = vj
-        chosen.append(vj)
-    return chosen
+def _triangles(rng: np.random.Generator, n: int, k: int) -> Iterator[Triangle]:
+    """``k`` triangles as ``sample_triangle`` draws them, ``_CHUNK`` at a
+    time; the draws equal one ``integers(tile(_FY_LOWS, k), n)`` call."""
+    for start in range(0, k, _CHUNK):
+        size = (min(_CHUNK, k - start), 3)
+        for d0, d1, d2 in rng.integers(_FY_LOWS, n, size=size).tolist():
+            # partial Fisher-Yates on the identity array: position i swaps
+            # with position d_i >= i; c1, c2 are what positions 1, 2 then hold
+            c1 = 0 if d1 == d0 else d1
+            c2 = (0 if d0 == 1 else 1) if d2 == d1 else (0 if d2 == d0 else d2)
+            yield Triangle(d0, c1, c2)
 
 
 def test_bt(t: StochasticTournament, cfg: TesterConfig) -> TestVerdict:
     """Accept iff every sampled triangle is balanced.
 
     Draws ``sample_size(cfg.eps, cfg.delta)`` triangles i.i.d. uniformly
-    (with replacement), checking each with ``is_balanced`` at ``cfg.tol``
-    (or ``is_eps_balanced`` when ``cfg.eps_balance`` is set).  Rejects with
-    the first unbalanced triangle as witness; deterministic given the seed.
+    (with replacement), checking each for |log lambda| <= ``cfg.tol`` (or
+    ``log1p(cfg.eps_balance)``, the eps-balanced form).  Rejects with the
+    first unbalanced triangle as witness; deterministic given the seed.
     Touches at most 3 edges per examined triangle.
     """
     if t.n < 3:
         raise TooFewVerticesError(f"tester needs n >= 3, got n={t.n}")
     k = sample_size(cfg.eps, cfg.delta)
+    bound = cfg.tol if cfg.eps_balance is None else math.log1p(cfg.eps_balance)
     rng = np.random.default_rng(cfg.seed)
-    draws = rng.integers(np.tile(_FY_LOWS, k), t.n)
-    for i in range(k):
-        tri = Triangle(*_fisher_yates_triple(draws[3 * i : 3 * i + 3]))
-        if cfg.eps_balance is not None:
-            ok = is_eps_balanced(t, tri, cfg.eps_balance)
-        else:
-            ok = is_balanced(t, tri, cfg.tol)
-        if not ok:
-            return TestVerdict(False, tri, i + 1)
+    for i, tri in enumerate(_triangles(rng, t.n, k), 1):
+        if abs(log_triangle_ratio(t, tri)) > bound:
+            return TestVerdict(False, tri, i)
     return TestVerdict(True, None, k)
 
 
@@ -161,11 +159,6 @@ def estimate_unbalanced_fraction(
         raise TooFewVerticesError(f"need n >= 3, got n={t.n}")
     if samples < 1:
         raise ParameterOutOfRangeError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(np.tile(_FY_LOWS, samples), t.n)
-    bad = 0
-    for i in range(samples):
-        tri = Triangle(*_fisher_yates_triple(draws[3 * i : 3 * i + 3]))
-        if not is_balanced(t, tri, tol):
-            bad += 1
+    triangles = _triangles(np.random.default_rng(seed), t.n, samples)
+    bad = sum(abs(log_triangle_ratio(t, tri)) > tol for tri in triangles)
     return bad / samples

@@ -6,6 +6,8 @@ probability ``w`` for its tail, so that ``p_xy = w`` and ``p_yx = 1 - w``.
 Only the ``n*(n-1)/2`` present-edge weights are stored; the complement is
 computed on read, which makes ``prob(x, y) + prob(y, x) == 1.0`` hold
 bit-exactly for every pair (the subtraction ``1 - w`` never accumulates).
+Log-odds are the logit of the stored weight, negated against the present
+edge, so ``log_odds(x, y) == -log_odds(y, x)`` holds bit-exactly too.
 
 Probabilities are kept inside ``[eta, 1 - eta]`` for a configurable floor
 ``eta`` (default 1e-12): every downstream ratio ``p_xy / p_yx`` must stay
@@ -40,6 +42,12 @@ TAU = 1e-9
 def pair_index(n: int, x: int, y: int) -> int:
     """Position of the unordered pair {x, y}, x < y, in lexicographic order."""
     return x * (2 * n - x - 1) // 2 + (y - x - 1)
+
+
+def logit(w):
+    """Log-odds ``log(w / (1 - w))`` of a weight; scalars and arrays go
+    through the same ``np.log``, so both give the same bits."""
+    return np.log(w / (1.0 - w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,17 +108,27 @@ class StochasticTournament:
         if not 0 <= v < self.n:
             raise VertexOutOfRangeError(f"vertex {v} not in [0, {self.n})")
 
-    def prob(self, x: int, y: int) -> float:
-        """Probability that ``x`` beats ``y``.  One edge query."""
+    def _stored(self, x: int, y: int) -> tuple[float, bool]:
+        """Stored weight of the pair {x, y} and whether it is stored as x -> y."""
         self._check_vertex(x)
         self._check_vertex(y)
         if x == y:
             raise SelfLoopError(f"p_xx is undefined (x = {x})")
         lo, hi = (x, y) if x < y else (y, x)
         i = pair_index(self.n, lo, hi)
-        w = float(self.weights[i])
-        forward = bool(self.low_wins[i]) == (x < y)
+        return float(self.weights[i]), bool(self.low_wins[i]) == (x < y)
+
+    def prob(self, x: int, y: int) -> float:
+        """Probability that ``x`` beats ``y``.  One edge query."""
+        w, forward = self._stored(x, y)
         return w if forward else 1.0 - w
+
+    def log_odds(self, x: int, y: int) -> float:
+        """``log(p_xy / p_yx)`` from the stored weight.  One edge query.
+        ``log_odds(y, x) == -log_odds(x, y)`` bit-for-bit."""
+        w, forward = self._stored(x, y)
+        ell = float(logit(w))
+        return ell if forward else -ell
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Present directed edges ``(x, y, p_xy)`` in pair-lexicographic order."""
@@ -124,19 +142,29 @@ class StochasticTournament:
                     yield hi, lo, w
                 i += 1
 
+    def _dense(self, stored: np.ndarray, reverse: np.ndarray) -> np.ndarray:
+        """``n x n`` matrix holding each pair's ``stored`` value along its
+        present edge and ``reverse`` against it; the diagonal is 0."""
+        upper = np.triu(np.ones((self.n, self.n), dtype=bool), k=1)
+        out = np.zeros((self.n, self.n))
+        # boolean-mask assignment fills (lo, hi) in pair-lexicographic order
+        out[upper] = np.where(self.low_wins, stored, reverse)
+        out.T[upper] = np.where(self.low_wins, reverse, stored)
+        return out
+
     def prob_matrix(self) -> np.ndarray:
         """Dense ``n x n`` matrix of p_xy.  Diagonal is 0 and meaningless.
 
         Intended for desk-scale exhaustive operations; the constant-query
         tester never calls this.
         """
-        upper = np.triu(np.ones((self.n, self.n), dtype=bool), k=1)
-        back = 1.0 - self.weights
-        p = np.zeros((self.n, self.n))
-        # boolean-mask assignment fills (lo, hi) in pair-lexicographic order
-        p[upper] = np.where(self.low_wins, self.weights, back)
-        p.T[upper] = np.where(self.low_wins, back, self.weights)
-        return p
+        return self._dense(self.weights, 1.0 - self.weights)
+
+    def log_odds_matrix(self) -> np.ndarray:
+        """Dense ``n x n`` matrix ``L[x, y] = log_odds(x, y)``, entry for
+        entry; exactly skew-symmetric, with a zero diagonal."""
+        ell = logit(self.weights)
+        return self._dense(ell, -ell)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StochasticTournament):
@@ -260,9 +288,8 @@ def gen_bt(scores: Sequence[float] | np.ndarray, eta: float = ETA) -> Stochastic
     weights = np.empty(m)
     i = 0
     for x in range(n - 1):
-        for y in range(x + 1, n):
-            weights[i] = a[x] / (a[x] + a[y])
-            i += 1
+        weights[i : i + n - 1 - x] = a[x] / (a[x] + a[x + 1 :])
+        i += n - 1 - x
     return StochasticTournament(n, weights, np.ones(m, dtype=bool), eta)
 
 

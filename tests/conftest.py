@@ -32,6 +32,14 @@ def fair3():
     return bt.gen_cyclic(3, 0.5)
 
 
+@pytest.fixture
+def floor_bt3():
+    """Exact Bradley-Terry tournament with two weights at 1e-12, every pair
+    stored high -> low, so the canonical triangle queries two of its edges
+    against their stored orientation."""
+    return bt.StochasticTournament(3, [0.5, 1e-12, 1e-12], [False] * 3)
+
+
 # -- oracles ---------------------------------------------------------------
 
 

@@ -59,6 +59,9 @@ class TestTriangleRatio:
             lam = bt.triangle_ratio(t, bt.Triangle(x, y, z))
             assert lam == pytest.approx(oracle_lambda(p, x, y, z), rel=1e-12)
 
+    def test_tiny_weight_stored_against_query_is_balanced(self, floor_bt3):
+        assert bt.log_triangle_ratio(floor_bt3, bt.Triangle(0, 1, 2)) == 0.0
+
     def test_reversed_orientation_inverts(self):
         t = bt.gen_random(5, 2)
         for x, y, z in combinations(range(5), 3):
@@ -189,6 +192,11 @@ class TestCycleRatio:
             assert bt.cycle_ratio(t, bt.DirectedCycle((x, y, z))) == pytest.approx(
                 bt.triangle_ratio(t, bt.Triangle(x, y, z)), rel=1e-12
             )
+
+    def test_tiny_weight_cycle_both_orientations(self, floor_bt3):
+        cycle = bt.DirectedCycle((0, 1, 2))
+        assert bt.log_cycle_ratio(floor_bt3, cycle) == 0.0
+        assert bt.log_cycle_ratio(floor_bt3, cycle.reversed()) == 0.0
 
     def test_overflow_is_inf(self):
         t = bt.gen_cyclic(40, 1.0 - 1e-12)  # log lambda about 40 * 27.6

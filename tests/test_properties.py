@@ -93,3 +93,14 @@ def test_repair_balances_every_triangle_through_the_root(t, data):
             log_lam = math.log(p[r, u] / p[u, r]) + math.log(p[u, v] / p[v, u])
             log_lam += math.log(p[v, r] / p[r, v])
             assert abs(log_lam) <= bt.TAU + _rounding_slack(p, r, u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tournaments(min_n=2))
+def test_log_odds_matrix_is_the_per_edge_query(t):
+    ell = t.log_odds_matrix()
+    assert np.array_equal(ell, -ell.T)
+    for x in range(t.n):
+        for y in range(t.n):
+            if x != y:
+                assert ell[x, y] == t.log_odds(x, y)

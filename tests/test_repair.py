@@ -175,6 +175,11 @@ class TestScoresFromRoot:
     def test_all_half_gives_ones(self, fair3):
         np.testing.assert_allclose(bt.scores_from_root(fair3, 1), 1.0, rtol=1e-12)
 
+    def test_tiny_weights_stored_against_root(self, floor_bt3):
+        for r in range(3):
+            scores = bt.scores_from_root(floor_bt3, r)
+            assert bt.min_verification_eps(floor_bt3, scores) <= 1e-15
+
     def test_round_trip_any_root(self):
         rng = np.random.default_rng(31)
         for _ in range(10):

@@ -1,12 +1,14 @@
 """The constant-query tester: sample sizes, verdicts, uniformity, queries."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 import bttest as bt
+from bttest import tester
 from conftest import oracle_unbalanced_count
 
 
@@ -64,6 +66,10 @@ class TestVerdicts:
             assert v.witness is None
             assert v.samples_used == bt.sample_size(0.3)
 
+    def test_tiny_weights_stored_against_query_accepted(self, floor_bt3):
+        for seed in range(20):
+            assert bt.test_bt(floor_bt3, bt.TesterConfig(eps=0.5, seed=seed)).accepted
+
     def test_one_sided_on_balanced_inputs(self):
         rng = np.random.default_rng(12)
         t = bt.gen_bt(rng.uniform(0.1, 10.0, size=12))
@@ -111,9 +117,9 @@ class TestQueryComplexity:
             self.n = t.n
             self.calls = 0
 
-        def prob(self, x, y):
+        def log_odds(self, x, y):
             self.calls += 1
-            return self._t.prob(x, y)
+            return self._t.log_odds(x, y)
 
     def test_queries_at_most_three_per_sample(self):
         for n in (5, 40, 200):
@@ -170,6 +176,35 @@ class TestSamplingUniformity:
         assert not v.accepted
         assert v.witness.vertices() == (6, 9, 11)
         assert v.samples_used == 1
+
+
+def _reference_triangle(draws):
+    """Partial Fisher-Yates on a virtual identity array: position i swaps
+    with position draws[i], and positions 0..2 end up holding the triple."""
+    arr = {}
+    for i, j in enumerate(draws):
+        arr[i], arr[j] = arr.get(j, j), arr.get(i, i)
+    return tuple(sorted(arr[i] for i in range(3)))
+
+
+class TestBoundedSampling:
+    @pytest.mark.parametrize("n", [3, 4, 100, 2**33])
+    def test_chunked_draws_match_one_draw(self, n):
+        k = 2 * tester._CHUNK + 5
+        draws = np.random.default_rng(5).integers(np.tile(np.arange(3), k), n)
+        expected = [_reference_triangle(d) for d in draws.reshape(k, 3).tolist()]
+        got = tester._triangles(np.random.default_rng(5), n, k)
+        assert [tri.vertices() for tri in got] == expected
+
+    def test_memory_does_not_grow_with_sample_size(self):
+        t = bt.gen_cyclic(50, 0.9)
+        tracemalloc.start()
+        try:
+            bt.test_bt(t, bt.TesterConfig(eps=1e-6))  # about 1.1e6 samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestEstimateUnbalancedFraction:

@@ -1,5 +1,7 @@
 """Tournament construction, queries, Markov chains, generators."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,12 @@ class TestGenerators:
         assert bt124.prob(0, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert bt124.prob(1, 2) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert bt124.prob(0, 2) == pytest.approx(1.0 / 5.0, abs=1e-15)
+
+    def test_bt_matches_per_pair_formula(self):
+        for n in (2, 3, 50):
+            a = np.random.default_rng(n).uniform(0.1, 10.0, size=n)
+            expected = [a[x] / (a[x] + a[y]) for x, y in combinations(range(n), 2)]
+            assert bt.gen_bt(a).weights.tolist() == expected
 
     def test_bt_triangles_balanced(self):
         rng = np.random.default_rng(3)
