@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DegenerateCycleError,
     NotASpanningTreeError,
+    OutOfRangeProbabilityError,
     ParameterOutOfRangeError,
     SelfLoopError,
 )
@@ -225,6 +226,28 @@ def is_cycle_balanced(
 
 
 # -- spanning trees and fundamental cycles --------------------------------
+
+
+@dataclass(frozen=True)
+class TreeWeights:
+    """A weighted, oriented spanning tree of the complete graph.
+
+    ``edges`` holds ``(u, v, w)`` triples: the tree edge {u, v} is oriented
+    u -> v and carries weight w in (0, 1).
+    """
+
+    n: int
+    edges: tuple[tuple[int, int, float], ...]
+
+    def __post_init__(self):
+        edges = tuple((int(u), int(v), float(w)) for u, v, w in self.edges)
+        _tree_structure(self.n, [(u, v) for u, v, _ in edges])  # validates
+        for u, v, w in edges:
+            if not 0.0 < w < 1.0:
+                raise OutOfRangeProbabilityError(
+                    f"tree weight {w} on ({u}, {v}) outside (0, 1)"
+                )
+        object.__setattr__(self, "edges", edges)
 
 
 def _tree_structure(n: int, tree_edges) -> tuple[np.ndarray, np.ndarray]:

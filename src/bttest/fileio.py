@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import IO
 
 from ._version import __version__
+from .balance import TreeWeights
 from .errors import ParseError
-from .repair import TreeWeights
 from .tester import RNG_ALGORITHM
 from .tournament import ETA, StochasticTournament, new_tournament
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .balance import (
+    TreeWeights,
     _curl,
     _disc_components,
     _tree_structure,
@@ -39,7 +39,15 @@ from .errors import (
     PreconditionFailedError,
     TooFewVerticesError,
 )
-from .tournament import ETA, TAU, StochasticTournament, check_reversible, logit
+from .tournament import (
+    ETA,
+    TAU,
+    StochasticTournament,
+    check_reversible,
+    logistic,
+    logit,
+    pair_index,
+)
 
 #: Desk-scale ceiling for the exhaustive L1 distance oracle.
 DESK_SCALE = 8
@@ -64,28 +72,6 @@ class RepairReport:
     clamped: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class TreeWeights:
-    """A weighted, oriented spanning tree of the complete graph.
-
-    ``edges`` holds ``(u, v, w)`` triples: the tree edge {u, v} is oriented
-    u -> v and carries weight w in (0, 1).
-    """
-
-    n: int
-    edges: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        edges = tuple((int(u), int(v), float(w)) for u, v, w in self.edges)
-        _tree_structure(self.n, [(u, v) for u, v, _ in edges])  # validates
-        for u, v, w in edges:
-            if not 0.0 < w < 1.0:
-                raise OutOfRangeProbabilityError(
-                    f"tree weight {w} on ({u}, {v}) outside (0, 1)"
-                )
-        object.__setattr__(self, "edges", edges)
-
-
 def repair_with_root(
     t: StochasticTournament, r: int, tol: float = TAU
 ) -> tuple[StochasticTournament, RepairReport]:
@@ -100,9 +86,7 @@ def repair_with_root(
     [eta, 1 - eta] are clamped and flagged.
     """
     t._check_vertex(r)
-    lo, hi = np.triu_indices(t.n, k=1)  # pair-lexicographic, like weights
-    u = np.where(t.low_wins, lo, hi)  # stored orientation u -> v
-    v = np.where(t.low_wins, hi, lo)
+    u, v = t._oriented()
     idx = np.flatnonzero((u != r) & (v != r))
     u, v, old = u[idx], v[idx], t.weights[idx]
     p = t.prob_matrix()
@@ -176,17 +160,30 @@ def verify_approx_bt(
 
     for all ordered pairs.  Scale-free in ``scores``.
     """
+    p, pred = _observed_and_predicted(t, scores)
+    if not 0.0 < eps <= 1.0:
+        raise ParameterOutOfRangeError(f"eps must be in (0, 1], got {eps}")
+    return _within(p, pred, eps)
+
+
+def _observed_and_predicted(
+    t: StochasticTournament, scores: Sequence[float] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``p_xy`` and ``a(x) / (a(x) + a(y))`` as ``n x n`` matrices, both
+    with a diagonal of 1, after validating ``scores``."""
     a = np.asarray(scores, dtype=float)
     if a.shape != (t.n,):
         raise DimensionMismatchError(f"scores shape {a.shape}, expected ({t.n},)")
     if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
         raise ParameterOutOfRangeError("scores must be strictly positive and finite")
-    if not 0.0 < eps <= 1.0:
-        raise ParameterOutOfRangeError(f"eps must be in (0, 1], got {eps}")
     p = t.prob_matrix()
     pred = a[:, None] / (a[:, None] + a[None, :])
     np.fill_diagonal(pred, 1.0)
     np.fill_diagonal(p, 1.0)
+    return p, pred
+
+
+def _within(p: np.ndarray, pred: np.ndarray, eps: float) -> bool:
     hi = 1.0 + eps
     return bool(np.all(p <= hi * pred) and np.all(p >= pred / hi))
 
@@ -229,14 +226,6 @@ def check_seven_eps(
     )
 
 
-def _logistic(z: float) -> float:
-    """1 / (1 + e^-z); 0.0 where e^-z overflows (z below about -709)."""
-    try:
-        return 1.0 / (1.0 + math.exp(-z))
-    except OverflowError:
-        return 0.0
-
-
 def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
     """Extend spanning-tree weights to a reversible tournament.
 
@@ -250,15 +239,13 @@ def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
     """
     n = tw.n
     parent, depth = _tree_structure(n, [(u, v) for u, v, _ in tw.edges])
+    # log odds of parent beating child, keyed by child
+    edge_lo: dict[int, float] = {}
     for u, v, w in tw.edges:
         if not (eta <= w <= 1.0 - eta):
             raise OutOfRangeProbabilityError(
                 f"tree weight {w} on ({u}, {v}) outside [{eta}, {1.0 - eta}]"
             )
-
-    # log odds of parent beating child, keyed by child
-    edge_lo: dict[int, float] = {}
-    for u, v, w in tw.edges:
         child, sign = (v, 1.0) if parent[v] == u else (u, -1.0)
         edge_lo[child] = sign * logit(w)
 
@@ -267,30 +254,15 @@ def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
         if parent[v] >= 0:
             log_pi[v] = log_pi[parent[v]] + edge_lo[v]
 
-    m = n * (n - 1) // 2
-    weights = np.empty(m)
-    low_wins = np.ones(m, dtype=bool)
-    tree_pairs = {}
+    lo, hi = np.triu_indices(n, k=1)
+    weights = logistic(log_pi[hi] - log_pi[lo])
+    outside = (weights < eta) | (weights > 1.0 - eta)
+    weights = np.clip(weights, eta, 1.0 - eta)
+    low_wins = np.ones(weights.size, dtype=bool)
     for u, v, w in tw.edges:
-        tree_pairs[(min(u, v), max(u, v))] = (u, v, w)
-    clamped = 0
-    i = 0
-    for lo in range(n - 1):
-        for hi in range(lo + 1, n):
-            if (lo, hi) in tree_pairs:
-                u, v, w = tree_pairs[(lo, hi)]
-                weights[i] = w
-                low_wins[i] = u < v
-            else:
-                w = _logistic(log_pi[hi] - log_pi[lo])
-                if w < eta:
-                    w = eta
-                    clamped += 1
-                elif w > 1.0 - eta:
-                    w = 1.0 - eta
-                    clamped += 1
-                weights[i] = w
-            i += 1
+        i = pair_index(n, min(u, v), max(u, v))
+        weights[i], low_wins[i], outside[i] = w, u < v, False
+    clamped = int(outside.sum())
     if clamped:
         warnings.warn(
             f"{clamped} chord weight(s) clamped into [{eta}, {1.0 - eta}]",
@@ -327,16 +299,13 @@ def min_verification_eps(
     so ``1 + eps`` is then stepped up one float at a time until the check
     passes (at eps = 1 at the latest).
     """
-    if not verify_approx_bt(t, scores, 1.0):
+    p, pred = _observed_and_predicted(t, scores)
+    if not _within(p, pred, 1.0):
         return None
-    a = np.asarray(scores, dtype=float)
-    p = t.prob_matrix()
-    pred = a[:, None] / (a[:, None] + a[None, :])
-    off = ~np.eye(t.n, dtype=bool)
-    p, pred = p[off], pred[off]
+    # the diagonal holds 1 in both, so it contributes a ratio of 1
     worst = float(np.max(np.maximum(p / pred, pred / p)))
     hi = min(max(worst, 1.0 + sys.float_info.epsilon), 2.0)
-    while not verify_approx_bt(t, a, hi - 1.0):
+    while not _within(p, pred, hi - 1.0):
         hi = math.nextafter(hi, math.inf)
     return hi - 1.0
 
@@ -349,14 +318,11 @@ class DistanceBounds:
     lower: float
 
 
-def _l1_objective(p: np.ndarray, phi: np.ndarray) -> float:
-    n = phi.size
-    total = 0.0
-    for x in range(n - 1):
-        for y in range(x + 1, n):
-            pred = 1.0 / (1.0 + math.exp(phi[y] - phi[x]))
-            total += abs(p[x, y] - pred)
-    return total
+def _l1_objective(p: np.ndarray, phi: np.ndarray):
+    """``sum_{x<y} |p_xy - logistic(phi_x - phi_y)|`` for each potential
+    along the last axis of ``phi``."""
+    x, y = np.triu_indices(p.shape[0], k=1)
+    return np.abs(p[x, y] - logistic(phi[..., x] - phi[..., y])).sum(axis=-1)
 
 
 def l1_distance_oracle(
@@ -367,7 +333,12 @@ def l1_distance_oracle(
     Upper bound: the cheapest single-root repair, refined by coordinate
     descent on the log-score potential minimising the absolute deviation
     from the induced model (``budget`` single-coordinate line searches,
-    started from the least-squares potential).  Lower bound: the largest,
+    started from the least-squares potential).  A line search over phi_i
+    evaluates the objective at once on a candidate set: the n - 1 points
+    ``phi_y + L[i, y]``, each fitting pair {i, y} exactly, and the
+    midpoints between consecutive sorted points, where saturating terms
+    can leave an interior minimum; it moves to the best candidate if that
+    improves the objective by more than 1e-12.  Lower bound: the largest,
     over unbalanced triangles, of the cheapest single-edge fix of that
     triangle, capped at the upper bound so the bracket is always ordered.
     Exactly reversible inputs report (0, 0).
@@ -379,13 +350,12 @@ def l1_distance_oracle(
     if budget < 0:
         raise ParameterOutOfRangeError(f"budget must be >= 0, got {budget}")
 
-    upper = min(
-        repair_with_root(t, r)[1].total_change for r in range(t.n)
-    )
+    upper = min(repair_with_root(t, r)[1].total_change for r in range(t.n))
 
     p = t.prob_matrix()
+    ell = t.log_odds_matrix()
     phi = np.log(fit_scores_least_squares(t))
-    best = _l1_objective(p, phi)
+    best = float(_l1_objective(p, phi))
     steps = 0
     improved = True
     while improved and steps < budget:
@@ -393,24 +363,19 @@ def l1_distance_oracle(
         for i in range(1, t.n):  # phi[0] pinned: the objective is scale-free
             if steps >= budget:
                 break
-
-            def along(v, i=i):
-                trial = phi.copy()
-                trial[i] = v
-                return _l1_objective(p, trial)
-
-            res = minimize_scalar(
-                along, bounds=(phi[i] - 30.0, phi[i] + 30.0), method="bounded"
-            )
+            kinks = np.sort(np.delete(phi + ell[i], i))
+            trials = np.tile(phi, (2 * kinks.size - 1, 1))
+            trials[:, i] = np.concatenate([kinks, (kinks[:-1] + kinks[1:]) / 2])
+            values = _l1_objective(p, trials)
+            k = int(np.argmin(values))
             steps += 1
-            if res.fun < best - 1e-12:
-                best = res.fun
-                phi[i] = res.x
+            if values[k] < best - 1e-12:
+                best = float(values[k])
+                phi[i] = trials[k, i]
                 improved = True
     upper = min(upper, best)
 
     lower = 0.0
-    ell = t.log_odds_matrix()
     for x, ys, zs in _triangle_slabs(t.n):
         unbalanced = np.abs(_curl(ell, x, ys, zs)) > tol
         fixes = np.abs(_disc_components(p, x, ys, zs)).min(axis=0)

@@ -50,6 +50,14 @@ def logit(w):
     return np.log(w / (1.0 - w))
 
 
+def logistic(z):
+    """Inverse of :func:`logit`, ``1 / (1 + e^-z)``: 0.0 where ``e^-z``
+    overflows.  Scalars and arrays go through the same ``np.exp``, and no
+    overflow warning escapes."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 @dataclass(frozen=True, eq=False)
 class StochasticTournament:
     """Weighted orientation of the complete graph on vertices 0..n-1.
@@ -130,17 +138,16 @@ class StochasticTournament:
         ell = float(logit(w))
         return ell if forward else -ell
 
+    def _oriented(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tail and head ``(u, v)`` of every present edge u -> v, pairs in
+        lexicographic order."""
+        lo, hi = np.triu_indices(self.n, k=1)
+        return np.where(self.low_wins, lo, hi), np.where(self.low_wins, hi, lo)
+
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Present directed edges ``(x, y, p_xy)`` in pair-lexicographic order."""
-        i = 0
-        for lo in range(self.n - 1):
-            for hi in range(lo + 1, self.n):
-                w = float(self.weights[i])
-                if self.low_wins[i]:
-                    yield lo, hi, w
-                else:
-                    yield hi, lo, w
-                i += 1
+        u, v = self._oriented()
+        return zip(u.tolist(), v.tolist(), self.weights.tolist())
 
     def _dense(self, stored: np.ndarray, reverse: np.ndarray) -> np.ndarray:
         """``n x n`` matrix holding each pair's ``stored`` value along its

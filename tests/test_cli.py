@@ -1,6 +1,10 @@
 """CLI subcommands: exit codes, reports, files written."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,3 +247,26 @@ def test_full_workflow(capsys, tmp_path):
     code, fit_report = run(capsys, "fit", fixed, "--root", "0")
     assert code == 0
     assert fit_report["result"]["verification_eps"] <= 1e-5
+
+
+def test_import_and_cli_leave_scipy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    # a None entry is an import blocked on purpose, not a loaded module
+    probe = (
+        "import sys, bttest; print([m for m, mod in sys.modules.items()"
+        " if m.split('.')[0] == 'scipy' and mod is not None])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    # -X importtime lists every module the process imports on stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "bttest.cli", "--version"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("bttest ")
+    assert "bttest.repair" in proc.stderr and "scipy" not in proc.stderr

@@ -104,3 +104,18 @@ def test_log_odds_matrix_is_the_per_edge_query(t):
         for y in range(t.n):
             if x != y:
                 assert ell[x, y] == t.log_odds(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tournaments(max_n=6))
+def test_distance_bracket_is_ordered_and_below_every_root_repair(t):
+    bounds = bt.l1_distance_oracle(t)
+    root_upper = min(bt.repair_with_root(t, r)[1].total_change for r in range(t.n))
+    assert bounds.lower <= bounds.upper <= root_upper + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.1, 10.0), min_size=3, max_size=6))
+def test_distance_of_an_exact_model_is_zero(scores):
+    bounds = bt.l1_distance_oracle(bt.gen_bt(scores))
+    assert (bounds.lower, bounds.upper) == (0.0, 0.0)

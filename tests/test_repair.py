@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bttest as bt
+from bttest.repair import _l1_objective
 from conftest import (
     all_triangles_balanced,
     dense_probs,
@@ -383,6 +384,12 @@ class TestExtendTree:
         expected = np.array([1.0 / pi[v] for v in range(7)])
         scores = bt.scores_from_root(t, 0)
         np.testing.assert_allclose(scores, expected / expected[0], rtol=1e-9)
+        # each chord, one pair at a time: w / (1 - w) = pi(hi) / pi(lo)
+        tree = {frozenset((u, v)) for u, v, _ in weighted}
+        for lo, hi in combinations(range(7), 2):
+            if frozenset((lo, hi)) not in tree:
+                chord = pi[hi] / (pi[lo] + pi[hi])
+                assert t.prob(lo, hi) == pytest.approx(chord, rel=1e-12)
 
 
 class TestFitScores:
@@ -471,6 +478,20 @@ class TestDistanceOracle:
             bounds = bt.l1_distance_oracle(t, budget=120)
             assert bounds.upper <= root_upper + 1e-12
             assert bounds.lower <= bounds.upper
+
+    def test_objective_matches_per_pair_loop(self):
+        t = bt.gen_random(7, 3)
+        p = t.prob_matrix()
+        phis = np.random.default_rng(4).normal(0.0, 3.0, size=(5, 7))
+        expected = [
+            sum(
+                abs(p[x, y] - 1.0 / (1.0 + math.exp(phi[y] - phi[x])))
+                for x, y in combinations(range(7), 2)
+            )
+            for phi in phis
+        ]
+        np.testing.assert_allclose(_l1_objective(p, phis), expected, rtol=1e-12)
+        assert _l1_objective(p, phis[0]) == pytest.approx(expected[0], rel=1e-12)
 
     def test_budget_zero_still_bracketed(self, cyclic3):
         bounds = bt.l1_distance_oracle(cyclic3, budget=0)

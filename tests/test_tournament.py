@@ -1,11 +1,13 @@
 """Tournament construction, queries, Markov chains, generators."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 import bttest as bt
+from bttest.tournament import logistic, logit
 from conftest import dense_probs
 
 
@@ -82,6 +84,41 @@ class TestProb:
     def test_immutable(self, cyclic3):
         with pytest.raises(ValueError):
             cyclic3.weights[0] = 0.3
+
+    def test_edges_are_python_values_in_stored_orientation(self):
+        t = bt.StochasticTournament(4, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [True, False] * 3)
+        edges = list(t.edges())
+        assert edges == [
+            (0, 1, 0.1), (2, 0, 0.2), (0, 3, 0.3), (2, 1, 0.4), (1, 3, 0.5), (3, 2, 0.6)
+        ]
+        assert all(type(x) is int and type(y) is int for x, y, _ in edges)
+        assert all(type(w) is float and t.prob(x, y) == w for x, y, w in edges)
+
+
+class TestLogistic:
+    def test_inverts_logit_on_stored_weights(self):
+        # exp turns the rounding of z = logit(w) into a relative error of
+        # about |z| ulp, so the round trip is within 2 ulp where |z| <= 1
+        # and within 2 + 2|z| ulp down to the floor
+        w = np.concatenate([
+            bt.gen_random(60, 3).weights,
+            [bt.ETA, 2 * bt.ETA, 1e-9, 1e-3, 0.5, 1.0 - 1e-9, 1.0 - bt.ETA],
+        ])
+        z = logit(w)
+        ulps = np.abs(logistic(z) - w) / np.spacing(w)
+        assert np.all(ulps[np.abs(z) <= 1.0] <= 2.0)
+        assert np.all(ulps <= 2.0 + 2.0 * np.abs(z))
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logistic(800.0) == 1.0
+            assert logistic(-800.0) == 0.0
+            assert logistic(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
+
+    def test_scalar_and_array_agree(self):
+        z = np.linspace(-40.0, 40.0, 81)
+        assert [logistic(float(v)) for v in z] == logistic(z).tolist()
 
 
 class TestMarkovMatrix:
