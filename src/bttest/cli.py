@@ -51,8 +51,8 @@ def _default_tol() -> float:
         ) from None
 
 
-def _emit(report: dict) -> None:
-    print(report_json(report))
+def _emit(command: str, config: dict, result: dict, seed=None) -> None:
+    print(report_json(make_report(command, config, result, seed)))
 
 
 def _write(path: str, text: str) -> None:
@@ -63,29 +63,19 @@ def _write(path: str, text: str) -> None:
 def cmd_validate(args) -> int:
     try:
         doc = load_tournament(args.file)
-    except OSError:
-        raise
     except TournamentError as exc:
-        _emit(
-            make_report(
-                "validate",
-                config={"file": args.file},
-                result={"valid": False, "error": str(exc)},
-            )
-        )
+        _emit("validate", {"file": args.file}, {"valid": False, "error": str(exc)})
         return 1
     t = doc.tournament
     _emit(
-        make_report(
-            "validate",
-            config={"file": args.file},
-            result={
-                "valid": True,
-                "n": t.n,
-                "pairs": int(t.weights.size),
-                "labels": list(doc.labels) if doc.labels else None,
-            },
-        )
+        "validate",
+        {"file": args.file},
+        {
+            "valid": True,
+            "n": t.n,
+            "pairs": int(t.weights.size),
+            "labels": list(doc.labels) if doc.labels else None,
+        },
     )
     return 0
 
@@ -108,20 +98,14 @@ def cmd_test(args) -> int:
     }
     if witness and doc.labels:
         result["witness_labels"] = [doc.labels[v] for v in witness]
-    _emit(
-        make_report(
-            "test",
-            seed=cfg.seed,
-            config={
-                "file": args.file,
-                "eps": cfg.eps,
-                "delta": cfg.delta,
-                "tol": cfg.tol,
-                "eps_balance": cfg.eps_balance,
-            },
-            result=result,
-        )
-    )
+    config = {
+        "file": args.file,
+        "eps": cfg.eps,
+        "delta": cfg.delta,
+        "tol": cfg.tol,
+        "eps_balance": cfg.eps_balance,
+    }
+    _emit("test", config, result, seed=cfg.seed)
     return 0 if verdict.accepted else 1
 
 
@@ -131,13 +115,7 @@ def cmd_disc(args) -> int:
     result: dict = {"total": td.total}
     if args.per_root:
         result["per_root"] = [float(v) for v in td.per_root]
-    _emit(
-        make_report(
-            "disc",
-            config={"file": args.file, "per_root": args.per_root},
-            result=result,
-        )
-    )
+    _emit("disc", {"file": args.file, "per_root": args.per_root}, result)
     return 0
 
 
@@ -149,20 +127,18 @@ def cmd_repair(args) -> int:
         repaired, report = repair(doc.tournament)
     _write(args.output, serialize_tournament(repaired, doc.labels))
     _emit(
-        make_report(
-            "repair",
-            config={"file": args.file, "root": args.root, "output": args.output},
-            result={
-                "root": report.root,
-                "edits": [
-                    {"edge": [x, y], "old": old, "new": new}
-                    for x, y, old, new in report.edits
-                ],
-                "total_change": report.total_change,
-                "per_edge_bound_ok": report.per_edge_bound_ok,
-                "clamped": [list(e) for e in report.clamped],
-            },
-        )
+        "repair",
+        {"file": args.file, "root": args.root, "output": args.output},
+        {
+            "root": report.root,
+            "edits": [
+                {"edge": [x, y], "old": old, "new": new}
+                for x, y, old, new in report.edits
+            ],
+            "total_change": report.total_change,
+            "per_edge_bound_ok": report.per_edge_bound_ok,
+            "clamped": [list(e) for e in report.clamped],
+        },
     )
     return 0
 
@@ -178,14 +154,9 @@ def cmd_fit(args) -> int:
         method = "least-squares"
     eps = min_verification_eps(t, scores)
     _emit(
-        make_report(
-            "fit",
-            config={"file": args.file, "method": method},
-            result={
-                "scores": [float(a) for a in scores],
-                "verification_eps": eps,
-            },
-        )
+        "fit",
+        {"file": args.file, "method": method},
+        {"scores": [float(a) for a in scores], "verification_eps": eps},
     )
     return 0
 
@@ -204,14 +175,7 @@ def cmd_gen(args) -> int:
         seed = args.seed
         config = {"kind": "random", "n": args.n}
     _write(args.output, serialize_tournament(t))
-    _emit(
-        make_report(
-            "gen",
-            seed=seed,
-            config=config,
-            result={"n": t.n, "output": args.output},
-        )
-    )
+    _emit("gen", config, {"n": t.n, "output": args.output}, seed=seed)
     return 0
 
 
@@ -220,11 +184,9 @@ def cmd_extend_tree(args) -> int:
     t = extend_tree(tw)
     _write(args.output, serialize_tournament(t))
     _emit(
-        make_report(
-            "extend-tree",
-            config={"treefile": args.treefile, "output": args.output},
-            result={"n": t.n, "output": args.output},
-        )
+        "extend-tree",
+        {"treefile": args.treefile, "output": args.output},
+        {"n": t.n, "output": args.output},
     )
     return 0
 
@@ -233,11 +195,9 @@ def cmd_distance(args) -> int:
     doc = load_tournament(args.file)
     bounds = l1_distance_oracle(doc.tournament, budget=args.budget)
     _emit(
-        make_report(
-            "distance",
-            config={"file": args.file, "budget": args.budget},
-            result={"upper": bounds.upper, "lower": bounds.lower},
-        )
+        "distance",
+        {"file": args.file, "budget": args.budget},
+        {"upper": bounds.upper, "lower": bounds.lower},
     )
     return 0
 

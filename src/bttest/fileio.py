@@ -44,13 +44,18 @@ class TournamentDocument:
     labels: tuple[str, ...] | None
 
 
-def _read_lines(source: str | IO[str]) -> list[str]:
+#: Letter and word that name the value column of each file kind's records.
+_VALUE = {TOURNAMENT_TAG: ("p", "probability"), TREE_TAG: ("w", "weight")}
+
+
+def _read(source: str | IO[str], tag: str):
+    """Returns (n, labels, records) of a tournament or tree file.
+
+    The whole header is validated first; then each body record is decoded
+    once into ``(x, y, value)``, in file order.
+    """
     text = source if isinstance(source, str) else source.read()
-    return text.splitlines()
-
-
-def _parse_header(lines: list[str], tag: str):
-    """Returns (n, labels, body records) after validating the header."""
+    lines = text.splitlines()
     n = None
     labels = None
     body = []
@@ -83,23 +88,37 @@ def _parse_header(lines: list[str], tag: str):
             continue
         if n is None:
             raise ParseError(lineno, "body record before n= line")
-        body.append((lineno, line.split()))
+        body.append((lineno, line))
     if n is None:
         raise ParseError(len(lines) or 1, "missing n= line")
     if labels is not None and len(labels) != n:
         raise ParseError(1, f"{len(labels)} labels for n={n} vertices")
-    return n, labels, body
 
+    letter, word = _VALUE[tag]
+    label_ids = {s: i for i, s in enumerate(labels or ())}
 
-def _vertex(token: str, labels, lineno: int) -> int:
-    # integer ids always work; labels resolve anything non-numeric
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    if labels is not None and token in labels:
-        return labels.index(token)
-    raise ParseError(lineno, f"unknown vertex {token!r}")
+    def vertex(token: str, lineno: int) -> int:
+        # integer ids always work; labels resolve anything non-numeric
+        try:
+            return int(token)
+        except ValueError:
+            if token in label_ids:
+                return label_ids[token]
+        raise ParseError(lineno, f"unknown vertex {token!r}")
+
+    records = []
+    for lineno, line in body:
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise ParseError(lineno, f"expected 'x y {letter}', got {' '.join(tokens)!r}")
+        x = vertex(tokens[0], lineno)
+        y = vertex(tokens[1], lineno)
+        try:
+            value = float(tokens[2])
+        except ValueError:
+            raise ParseError(lineno, f"bad {word} {tokens[2]!r}") from None
+        records.append((x, y, value))
+    return n, labels, records
 
 
 def parse_document(source: str | IO[str], eta: float = ETA) -> TournamentDocument:
@@ -109,19 +128,8 @@ def parse_document(source: str | IO[str], eta: float = ETA) -> TournamentDocumen
     number; structural problems (duplicate or missing pairs, out-of-range
     probabilities) surface as their dedicated error types.
     """
-    n, labels, body = _parse_header(_read_lines(source), TOURNAMENT_TAG)
-    entries = []
-    for lineno, tokens in body:
-        if len(tokens) != 3:
-            raise ParseError(lineno, f"expected 'x y p', got {' '.join(tokens)!r}")
-        x = _vertex(tokens[0], labels, lineno)
-        y = _vertex(tokens[1], labels, lineno)
-        try:
-            p = float(tokens[2])
-        except ValueError:
-            raise ParseError(lineno, f"bad probability {tokens[2]!r}") from None
-        entries.append((x, y, p))
-    return TournamentDocument(new_tournament(n, entries, eta), labels)
+    n, labels, records = _read(source, TOURNAMENT_TAG)
+    return TournamentDocument(new_tournament(n, records, eta), labels)
 
 
 def parse_tournament(source: str | IO[str], eta: float = ETA) -> StochasticTournament:
@@ -147,19 +155,8 @@ def serialize_tournament(
 
 def parse_tree(source: str | IO[str]) -> TreeWeights:
     """Parse a spanning-tree file (``bt-tree v1``)."""
-    n, labels, body = _parse_header(_read_lines(source), TREE_TAG)
-    edges = []
-    for lineno, tokens in body:
-        if len(tokens) != 3:
-            raise ParseError(lineno, f"expected 'x y w', got {' '.join(tokens)!r}")
-        u = _vertex(tokens[0], labels, lineno)
-        v = _vertex(tokens[1], labels, lineno)
-        try:
-            w = float(tokens[2])
-        except ValueError:
-            raise ParseError(lineno, f"bad weight {tokens[2]!r}") from None
-        edges.append((u, v, w))
-    return TreeWeights(n, tuple(edges))
+    n, _, records = _read(source, TREE_TAG)
+    return TreeWeights(n, tuple(records))
 
 
 def serialize_tree(tw: TreeWeights) -> str:
@@ -199,4 +196,4 @@ def make_report(command: str, config: dict, result: dict, seed=None) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2)
+    return json.dumps(report)

@@ -202,8 +202,8 @@ def new_tournament(
     MissingPairError, OutOfRangeProbabilityError
     """
     m = n * (n - 1) // 2
-    weights = np.full(m, np.nan)
-    low_wins = np.zeros(m, dtype=bool)
+    weights: list = [None] * m  # None: pair not seen yet
+    low_wins = [False] * m
     for x, y, p in entries:
         if x == y:
             raise SelfLoopError(f"entry ({x}, {y}) is a self loop")
@@ -214,15 +214,15 @@ def new_tournament(
                 f"p={p} for pair ({x}, {y}) outside [{eta}, {1.0 - eta}]"
             )
         i = pair_index(n, min(x, y), max(x, y))
-        if not np.isnan(weights[i]):
+        if weights[i] is not None:
             raise DuplicatePairError(f"pair {{{x}, {y}}} given twice")
         weights[i] = p
         low_wins[i] = x < y
-    if np.any(np.isnan(weights)):
-        i = int(np.argmax(np.isnan(weights)))
-        lo = next(x for x in range(n) if pair_index(n, x, n - 1) >= i)
-        hi = i - pair_index(n, lo, lo + 1) + lo + 1
-        raise MissingPairError(f"no weight for pair {{{lo}, {hi}}}")
+    # below 2 vertices StochasticTournament raises the vertex-count error
+    if n >= 2 and None in weights:
+        i = weights.index(None)
+        lo, hi = np.triu_indices(n, k=1)
+        raise MissingPairError(f"no weight for pair {{{lo[i]}, {hi[i]}}}")
     return StochasticTournament(n, weights, low_wins, eta)
 
 

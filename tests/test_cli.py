@@ -187,6 +187,13 @@ class TestGen:
         assert exc.value.code == 2
 
 
+    def test_gen_random_too_few_vertices(self, capsys, tmp_path):
+        code = main(["gen", "random", "--n", "1", "--seed", "0",
+                     "-o", str(tmp_path / "x.bt")])
+        assert code == 2
+        assert "need at least 2 vertices" in capsys.readouterr().err
+
+
 class TestExtendTree:
     def test_extension_accepted(self, capsys, tmp_path):
         tree = tmp_path / "star.tree"

@@ -50,6 +50,23 @@ class TestParseTournament:
                 "bt-tournament v1\nn=2\n0 1 0.5\n1 0 0.5\n"
             )
 
+    def test_missing_pair_is_named(self):
+        with pytest.raises(bt.MissingPairError, match=r"\{0, 2\}"):
+            bt.parse_tournament("bt-tournament v1\nn=3\n0 1 0.5\n1 2 0.5\n")
+
+    def test_first_bad_record_wins(self):
+        text = (
+            "bt-tournament v1\nn=3\n0 1 0.5\n1 0 0.5\n"
+            "1 2 0.5\n0 7 0.5\n0 2 0.5\n"
+        )
+        with pytest.raises(bt.DuplicatePairError):
+            bt.parse_tournament(text)
+
+    @pytest.mark.parametrize("n", [1, 0, -1, -3])
+    def test_too_few_vertices(self, n):
+        with pytest.raises(bt.VertexOutOfRangeError, match="need at least 2"):
+            bt.parse_tournament(f"bt-tournament v1\nn={n}\n")
+
     def test_comments_and_blank_lines(self):
         text = "# produced by hand\nbt-tournament v1\n\nn=2\n# body\n0 1 0.25\n"
         assert bt.parse_tournament(text).prob(0, 1) == 0.25
@@ -81,6 +98,12 @@ class TestLabels:
         with pytest.raises(bt.ParseError) as exc:
             bt.parse_document("bt-tournament v1\nn=2\n0 bob 0.5\n")
         assert exc.value.line == 3
+
+    def test_labels_line_after_the_body(self):
+        text = "bt-tournament v1\nn=2\nbob ann 0.25\nlabels=ann,bob\n"
+        doc = bt.parse_document(text)
+        assert doc.labels == ("ann", "bob")
+        assert doc.tournament.prob(1, 0) == 0.25
 
     def test_integer_tokens_beat_numeric_labels(self):
         # a body token that parses as an integer is always the vertex id,
@@ -133,6 +156,19 @@ class TestTreeFiles:
         tw = bt.TreeWeights(4, ((0, 1, 0.9), (2, 1, 0.25), (2, 3, 0.5)))
         assert bt.parse_tree(bt.serialize_tree(tw)) == tw
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("0 1", "expected 'x y w'"),
+            ("0 1 heavy", "bad weight"),
+            ("0 bob 0.5", "unknown vertex"),
+        ],
+    )
+    def test_bad_record_line(self, record, message):
+        with pytest.raises(bt.ParseError, match=message) as exc:
+            bt.parse_tree(f"bt-tree v1\nn=3\n0 2 0.5\n{record}\n")
+        assert exc.value.line == 4
+
     def test_parse_errors(self):
         with pytest.raises(bt.ParseError):
             bt.parse_tree("bt-tournament v1\nn=2\n0 1 0.5\n")
@@ -155,3 +191,11 @@ class TestReports:
         without = bt.make_report("disc", config={}, result={})
         assert with_seed["rng"] == bt.RNG_ALGORITHM
         assert without["rng"] is None
+
+    def test_report_is_one_line(self):
+        report = bt.make_report(
+            "fit", config={"file": "a.bt"}, result={"scores": [0.1, 1 / 3, -2.5e-17]}
+        )
+        text = bt.report_json(report)
+        assert "\n" not in text
+        assert json.loads(text) == report

@@ -28,6 +28,22 @@ def tournaments(draw, min_n=3, max_n=12):
     return bt.StochasticTournament(n, weights, low_wins)
 
 
+#: Vertex labels the file format can carry: no comma, no whitespace.
+label = st.text("abcxyzAZ019_-.", min_size=1, max_size=6)
+
+
+@st.composite
+def spanning_trees(draw):
+    """A random spanning tree: each vertex after 0 hangs off an earlier one,
+    in a random orientation, with a weight anywhere in [eta, 1 - eta]."""
+    n = draw(st.integers(2, 12))
+    edges = []
+    for v in range(1, n):
+        u, w = draw(st.integers(0, v - 1)), draw(weight)
+        edges.append((u, v, w) if draw(st.booleans()) else (v, u, w))
+    return bt.TreeWeights(n, tuple(draw(st.permutations(edges))))
+
+
 @st.composite
 def near_bt(draw):
     """A tournament whose log-odds are an exact model's plus bounded noise,
@@ -119,3 +135,21 @@ def test_distance_bracket_is_ordered_and_below_every_root_repair(t):
 def test_distance_of_an_exact_model_is_zero(scores):
     bounds = bt.l1_distance_oracle(bt.gen_bt(scores))
     assert (bounds.lower, bounds.upper) == (0.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tournaments(min_n=2), st.data())
+def test_tournament_file_round_trip_is_bit_exact(t, data):
+    labels = data.draw(
+        st.none() | st.lists(label, min_size=t.n, max_size=t.n, unique=True).map(tuple)
+    )
+    doc = bt.parse_document(bt.serialize_tournament(t, labels))
+    assert doc.labels == labels
+    assert doc.tournament.weights.tobytes() == t.weights.tobytes()
+    assert np.array_equal(doc.tournament.low_wins, t.low_wins)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spanning_trees())
+def test_tree_file_round_trip(tw):
+    assert bt.parse_tree(bt.serialize_tree(tw)) == tw
