@@ -22,6 +22,7 @@ rng = np.random.default_rng(0)
 model = bt.gen_bt(rng.uniform(0.5, 2.0, size=500))
 verdict = bt.test_bt(model, bt.TesterConfig(eps=0.1, seed=123))
 print("\n500-player model:", verdict.outcome, "after", verdict.samples_used, "samples")
+print("edge queries:", verdict.queries, "(3 per sample, whatever the number of players)")
 
 # The cyclic tournament is rejected, and the verdict carries a witness
 # triangle that anyone can re-check.
@@ -29,6 +30,7 @@ rps = bt.gen_cyclic(3, 0.9)
 verdict = bt.test_bt(rps, bt.TesterConfig(eps=0.5, seed=123))
 print("cyclic tournament:", verdict.outcome, "witness", verdict.witness)
 print("witness really unbalanced:", not bt.is_balanced(rps, verdict.witness))
+print("edge queries:", verdict.queries, "(the run stops at the first unbalanced triangle)")
 
 # Larger cyclic tournaments have many unbalanced triangles; the sampled
 # fraction estimates how many.

@@ -95,6 +95,7 @@ def cmd_test(args) -> int:
         "outcome": verdict.outcome,
         "witness": witness,
         "samples_used": verdict.samples_used,
+        "queries": verdict.queries,
     }
     if witness and doc.labels:
         result["witness_labels"] = [doc.labels[v] for v in witness]

@@ -69,5 +69,10 @@ class ParseError(TournamentError):
         self.line = line
 
 
+class LabelError(TournamentError, ValueError):
+    """Vertex labels a tournament file cannot carry: a wrong count, or a label
+    that is empty or holds a comma or whitespace."""
+
+
 class ClampWarning(UserWarning):
     """A computed weight fell outside [eta, 1 - eta] and was clamped."""

@@ -28,7 +28,7 @@ from typing import IO
 
 from ._version import __version__
 from .balance import TreeWeights
-from .errors import ParseError
+from .errors import LabelError, ParseError
 from .tester import RNG_ALGORITHM
 from .tournament import ETA, StochasticTournament, new_tournament
 
@@ -80,8 +80,8 @@ def _read(source: str | IO[str], tag: str):
         if line.startswith("labels="):
             if labels is not None:
                 raise ParseError(lineno, "duplicate labels= line")
-            labels = tuple(s.strip() for s in line[len("labels="):].split(","))
-            if any(not s or " " in s or "\t" in s for s in labels):
+            labels = tuple(s.strip(" \t") for s in line[len("labels="):].split(","))
+            if any(s.split() != [s] for s in labels):
                 raise ParseError(lineno, "labels must be nonempty, no whitespace")
             if len(set(labels)) != len(labels):
                 raise ParseError(lineno, "labels are not unique")
@@ -144,9 +144,9 @@ def serialize_tournament(
     lines = [TOURNAMENT_TAG, f"n={t.n}"]
     if labels is not None:
         if len(labels) != t.n:
-            raise ValueError(f"{len(labels)} labels for n={t.n} vertices")
-        if any(not s or "," in s or " " in s or "\t" in s for s in labels):
-            raise ValueError("labels must be nonempty, without commas or whitespace")
+            raise LabelError(f"{len(labels)} labels for n={t.n} vertices")
+        if any("," in s or s.split() != [s] for s in labels):
+            raise LabelError("labels must be nonempty, without commas or whitespace")
         lines.append("labels=" + ",".join(labels))
     for x, y, w in t.edges():
         lines.append(f"{x} {y} {w!r}")

@@ -147,8 +147,8 @@ def scores_from_root(t: StochasticTournament, r: int) -> np.ndarray:
     Bradley-Terry identity; if every triangle through r is eps-balanced
     they form an eps-approximate score vector.
     """
-    t._check_vertex(r)
-    return np.exp([t.log_odds(y, r) if y != r else 0.0 for y in range(t.n)])
+    y = np.arange(t.n)
+    return np.exp(np.insert(t.log_odds(y[y != r], r), r, 0.0))
 
 
 def verify_approx_bt(

@@ -10,9 +10,9 @@ so each sample catches one with probability >= eps and the sample size
 
     f(eps, delta) = ceil( ln(1/delta) / -ln(1 - eps) )
 
-drives the false-accept probability below delta.  The query count is at
-most 3 edges per sampled triangle, independent of the tournament size; the
-probability matrix is never materialised.
+drives the false-accept probability below delta.  The tester reads only
+``n`` and ``log_odds`` over index arrays (the pair oracle): 3k edges on an
+accept, 3 on a reject at the first sample and fewer than 6i at sample i.
 
 Randomness comes from numpy's PCG64 generator (``numpy.random.default_rng``),
 which is seedable and deterministic across platforms; reports should carry
@@ -58,12 +58,7 @@ class TesterConfig:
     eps_balance: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ParameterOutOfRangeError(f"eps must be in (0, 1), got {self.eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise ParameterOutOfRangeError(
-                f"delta must be in (0, 1), got {self.delta}"
-            )
+        sample_size(self.eps, self.delta)  # raises on an eps or delta outside (0, 1)
         if self.tol < 0.0:
             raise ParameterOutOfRangeError(f"tol must be >= 0, got {self.tol}")
         if self.eps_balance is not None and self.eps_balance <= 0.0:
@@ -79,12 +74,14 @@ class TestVerdict:
     ``witness`` is present iff the run rejected; it is an unbalanced
     triangle of the input, re-checkable by the caller.  ``samples_used``
     counts the triangles actually examined (the run stops at the first
-    failure), never more than the requested sample size.
+    failure), never more than the requested sample size.  ``queries`` counts
+    the edges read: ``3 * samples_used`` on accept, under twice that on reject.
     """
 
     accepted: bool
     witness: Triangle | None
     samples_used: int
+    queries: int
 
     @property
     def outcome(self) -> str:
@@ -111,20 +108,23 @@ def sample_triangle(rng: np.random.Generator, n: int) -> Triangle:
     triple of distinct vertices in O(1) space; dropping the order makes the
     unordered triple exactly uniform.
     """
-    return next(_triangles(rng, n, 1))
+    return Triangle(*next(_triangles(rng, n, 1))[0].tolist())
 
 
-def _triangles(rng: np.random.Generator, n: int, k: int) -> Iterator[Triangle]:
-    """``k`` triangles as ``sample_triangle`` draws them, ``_CHUNK`` at a
-    time; the draws equal one ``integers(tile(_FY_LOWS, k), n)`` call."""
-    for start in range(0, k, _CHUNK):
-        size = (min(_CHUNK, k - start), 3)
-        for d0, d1, d2 in rng.integers(_FY_LOWS, n, size=size).tolist():
-            # partial Fisher-Yates on the identity array: position i swaps
-            # with position d_i >= i; c1, c2 are what positions 1, 2 then hold
-            c1 = 0 if d1 == d0 else d1
-            c2 = (0 if d0 == 1 else 1) if d2 == d1 else (0 if d2 == d0 else d2)
-            yield Triangle(d0, c1, c2)
+def _triangles(rng, n: int, k: int, c: int = 1) -> Iterator[np.ndarray]:
+    """``k`` triangles as ``sample_triangle`` draws them, in sorted ``(c, 3)``
+    arrays, ``c`` doubling up to ``_CHUNK``; equal to one ``integers`` draw."""
+    while k > 0:
+        d = rng.integers(_FY_LOWS, n, size=(min(c, k), 3))
+        # partial Fisher-Yates on the identity array: position i swaps with
+        # position d_i >= i; positions 1, 2 then hold c1, c2
+        d0, d1, d2 = d.T
+        c2 = np.where(d2 == d1, d0 != 1, np.where(d2 == d0, 0, d2))
+        d1[d1 == d0] = 0
+        d2[:] = c2
+        d.sort(axis=1)
+        yield d
+        k, c = k - len(d), min(2 * c, _CHUNK)
 
 
 def test_bt(t: StochasticTournament, cfg: TesterConfig) -> TestVerdict:
@@ -134,17 +134,21 @@ def test_bt(t: StochasticTournament, cfg: TesterConfig) -> TestVerdict:
     (with replacement), checking each for |log lambda| <= ``cfg.tol`` (or
     ``log1p(cfg.eps_balance)``, the eps-balanced form).  Rejects with the
     first unbalanced triangle as witness; deterministic given the seed.
-    Touches at most 3 edges per examined triangle.
+    Reads ``t`` only through ``t.n`` and one ``t.log_odds`` call per chunk.
     """
     if t.n < 3:
         raise TooFewVerticesError(f"tester needs n >= 3, got n={t.n}")
     k = sample_size(cfg.eps, cfg.delta)
     bound = cfg.tol if cfg.eps_balance is None else math.log1p(cfg.eps_balance)
-    rng = np.random.default_rng(cfg.seed)
-    for i, tri in enumerate(_triangles(rng, t.n, k), 1):
-        if abs(log_triangle_ratio(t, tri)) > bound:
-            return TestVerdict(False, tri, i)
-    return TestVerdict(True, None, k)
+    used = 0
+    for tri in _triangles(np.random.default_rng(cfg.seed), t.n, k):
+        bad = abs(log_triangle_ratio(t, tri)) > bound
+        if bad.any():
+            i = int(np.argmax(bad))
+            witness = Triangle(*tri[i].tolist())
+            return TestVerdict(False, witness, used + i + 1, 3 * (used + len(tri)))
+        used += len(tri)
+    return TestVerdict(True, None, k, 3 * k)
 
 
 def estimate_unbalanced_fraction(
@@ -159,6 +163,6 @@ def estimate_unbalanced_fraction(
         raise TooFewVerticesError(f"need n >= 3, got n={t.n}")
     if samples < 1:
         raise ParameterOutOfRangeError(f"samples must be >= 1, got {samples}")
-    triangles = _triangles(np.random.default_rng(seed), t.n, samples)
-    bad = sum(abs(log_triangle_ratio(t, tri)) > tol for tri in triangles)
+    chunks = _triangles(np.random.default_rng(seed), t.n, samples, _CHUNK)
+    bad = sum(np.count_nonzero(abs(log_triangle_ratio(t, c)) > tol) for c in chunks)
     return bad / samples

@@ -39,8 +39,8 @@ ETA = 1e-12
 TAU = 1e-9
 
 
-def pair_index(n: int, x: int, y: int) -> int:
-    """Position of the unordered pair {x, y}, x < y, in lexicographic order."""
+def pair_index(n: int, x, y):
+    """Lexicographic position of the unordered pair {x, y}, x < y; elementwise."""
     return x * (2 * n - x - 1) // 2 + (y - x - 1)
 
 
@@ -131,12 +131,17 @@ class StochasticTournament:
         w, forward = self._stored(x, y)
         return w if forward else 1.0 - w
 
-    def log_odds(self, x: int, y: int) -> float:
-        """``log(p_xy / p_yx)`` from the stored weight.  One edge query.
-        ``log_odds(y, x) == -log_odds(x, y)`` bit-for-bit."""
-        w, forward = self._stored(x, y)
-        ell = float(logit(w))
-        return ell if forward else -ell
+    def log_odds(self, x, y):
+        """``log(p_xy / p_yx)`` from the stored weight, one edge query per entry
+        of equal-shape index arrays, a float for two ints; exactly skew."""
+        x, y = np.asarray(x), np.asarray(y)
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        if not np.all((0 <= lo) & (lo < hi) & (hi < self.n)):
+            for a, b in np.broadcast(x, y):
+                self._stored(a, b)  # raises on the first bad entry
+        i = pair_index(self.n, lo, hi)
+        ell = logit(self.weights[i]) * np.where(self.low_wins[i] == (x < y), 1, -1)
+        return float(ell) if ell.ndim == 0 else ell
 
     def _oriented(self) -> tuple[np.ndarray, np.ndarray]:
         """Tail and head ``(u, v)`` of every present edge u -> v, pairs in

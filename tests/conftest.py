@@ -104,6 +104,15 @@ def all_triangles_balanced(t, tol=1e-9):
     )
 
 
+def reference_triangle(draws):
+    """Partial Fisher-Yates on a virtual identity array: position i swaps
+    with position draws[i], and positions 0..2 end up holding the triple."""
+    arr = {}
+    for i, j in enumerate(draws):
+        arr[i], arr[j] = arr.get(j, j), arr.get(i, i)
+    return tuple(sorted(arr[i] for i in range(3)))
+
+
 def random_tree(n, rng):
     """Uniform random labelled tree on [0, n) via a Prufer sequence."""
     if n == 2:

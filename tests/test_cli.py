@@ -63,6 +63,7 @@ class TestTest:
         assert code == 1
         assert report["result"]["outcome"] == "reject"
         assert report["result"]["witness"] == [0, 1, 2]
+        assert report["result"]["queries"] == 3  # rejected at the first sample
         assert report["seed"] == 7
         assert report["rng"] == bt.RNG_ALGORITHM
 
@@ -71,6 +72,7 @@ class TestTest:
         assert code == 0
         assert report["result"]["outcome"] == "accept"
         assert report["result"]["witness"] is None
+        assert report["result"]["queries"] == 3 * bt.sample_size(0.5)
 
     def test_deterministic_report(self, capsys, cyclic_file):
         _, a = run(capsys, "test", cyclic_file, "--eps", "0.3", "--seed", "5")
@@ -99,6 +101,13 @@ class TestTest:
         monkeypatch.setenv("BT_DEFAULT_TOL", "abc")
         assert main(["--version"]) == 2
         assert capsys.readouterr().err.startswith("bttest: error: BT_DEFAULT_TOL")
+
+    def test_whitespace_label_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nbsp.bt"
+        text = "bt-tournament v1\nn=3\nlabels=\xa0a,b,c\n0 1 .5\n0 2 .5\n1 2 .5\n"
+        path.write_text(text, encoding="utf-8")
+        assert main(["test", str(path), "--eps", "0.5"]) == 2
+        assert "labels must be nonempty" in capsys.readouterr().err
 
     def test_bad_eps(self, capsys, cyclic_file):
         code = main(["test", cyclic_file, "--eps", "2.0"])

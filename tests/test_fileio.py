@@ -121,6 +121,24 @@ class TestLabels:
         with pytest.raises(ValueError):
             bt.serialize_tournament(t, ("a", "b"))
 
+    @pytest.mark.parametrize("bad", ["a\x0bb", "a\nb", "\xa0a", "a b", "", "a\u2028"])
+    def test_whitespace_labels_rejected_on_write(self, bad):
+        # each would write a file that fails to parse or reads back changed
+        with pytest.raises(bt.LabelError) as exc:
+            bt.serialize_tournament(bt.gen_cyclic(2, 0.9), (bad, "z"))
+        assert isinstance(exc.value, bt.TournamentError)
+        assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("bad", ["\xa0a", "a\x1fb", "a\u3000"])
+    def test_whitespace_labels_rejected_on_read(self, bad):
+        with pytest.raises(bt.ParseError) as exc:
+            bt.parse_document(f"bt-tournament v1\nn=2\nlabels={bad},z\n0 1 0.5\n")
+        assert exc.value.line == 3
+
+    def test_spaces_around_commas_still_read(self):
+        doc = bt.parse_document("bt-tournament v1\nn=2\nlabels=ann , bob\n0 1 0.5\n")
+        assert doc.labels == ("ann", "bob")
+
 
 class TestRoundTrip:
     def test_generators_bit_exact(self):

@@ -1,5 +1,5 @@
-"""Property-based checks of the exhaustive kernels on small tournaments,
-with weights drawn up to the probability floor eta."""
+"""Property-based checks of the exhaustive kernels and the tester on small
+tournaments, with weights drawn up to the probability floor eta."""
 
 import math
 
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bttest as bt
-from conftest import dense_probs, oracle_per_root_sums
+from bttest import tester
+from conftest import dense_probs, oracle_per_root_sums, reference_triangle
 
 ETA = bt.ETA
 
@@ -153,3 +154,96 @@ def test_tournament_file_round_trip_is_bit_exact(t, data):
 @given(spanning_trees())
 def test_tree_file_round_trip(tw):
     assert bt.parse_tree(bt.serialize_tree(tw)) == tw
+
+
+# -- the batched tester against a one-draw, one-triangle-at-a-time reference
+
+
+def _reference_curls(t, seed, k):
+    """Log-ratio of each of the k triangles a seeded run draws: one
+    ``integers`` draw, the dict-based shuffle, and the curl read off
+    ``log_odds_matrix()``, one triangle at a time."""
+    draws = np.random.default_rng(seed).integers(np.tile(np.arange(3), k), t.n)
+    ell = t.log_odds_matrix().tolist()
+    for d in draws.reshape(k, 3).tolist():
+        x, y, z = reference_triangle(d)
+        yield (x, y, z), ell[x][y] + ell[y][z] + ell[z][x]
+
+
+def _reference_queries(i, k):
+    """Edges read up to the end of the chunk holding sample i, for chunks of
+    1, 2, 4, ... up to ``_CHUNK`` triangles."""
+    end, c = 0, 1
+    while end < i:
+        end, c = end + c, min(2 * c, tester._CHUNK)
+    return 3 * min(end, k)
+
+
+@st.composite
+def exact_models(draw, max_resets=0):
+    """An exact model with a random subset of pairs re-stored as their
+    complement edge, then up to ``max_resets`` pairs set to any weight, so
+    that rejects come late or not at all."""
+    n = draw(st.integers(3, 12))
+    exact = bt.gen_bt(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    m = n * (n - 1) // 2
+    flip = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    weights = np.where(flip, 1.0 - exact.weights, exact.weights)
+    t = bt.StochasticTournament(n, weights, exact.low_wins ^ flip)
+    for _ in range(draw(st.integers(0, max_resets))):
+        x, y = draw(st.permutations(range(n)))[:2]
+        t = bt.set_prob(t, x, y, draw(weight))
+    return t
+
+
+#: eps with k anywhere from 1 to past one full chunk (k = 1099 at 1e-3).
+tester_eps = st.one_of(st.floats(0.01, 0.99), st.sampled_from([1e-3, 5e-3]))
+seeds = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tournaments() | exact_models(max_resets=3), tester_eps, seeds,
+       st.none() | st.floats(1e-9, 2.0))
+def test_tester_matches_the_reference(t, eps, seed, eps_balance):
+    cfg = bt.TesterConfig(eps=eps, seed=seed, eps_balance=eps_balance)
+    k = bt.sample_size(eps)
+    bound = cfg.tol if eps_balance is None else math.log1p(eps_balance)
+    expected = (True, None, k, 3 * k)
+    for i, (tri, curl) in enumerate(_reference_curls(t, seed, k), 1):
+        if abs(curl) > bound:
+            expected = (False, tri, i, _reference_queries(i, k))
+            break
+    v = bt.test_bt(t, cfg)
+    witness = v.witness.vertices() if v.witness else None
+    assert (v.accepted, witness, v.samples_used, v.queries) == expected
+    assert v.queries <= 3 * k
+    if not v.accepted:
+        assert v.queries < 6 * v.samples_used
+
+
+@settings(max_examples=60, deadline=None)
+@given(tournaments() | exact_models(max_resets=3), st.integers(1, 2500), seeds)
+def test_estimate_matches_the_reference(t, samples, seed):
+    bad = sum(abs(curl) > bt.TAU for _, curl in _reference_curls(t, seed, samples))
+    assert bt.estimate_unbalanced_fraction(t, samples, seed) == bad / samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_models(), tester_eps, seeds)
+def test_tester_is_one_sided_whatever_the_stored_orientation(t, eps, seed):
+    assert bt.test_bt(t, bt.TesterConfig(eps=eps, seed=seed)).accepted
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.text(st.characters() | st.sampled_from(" ,\t\n\x0b\x1c\x85\xa0\u2028"), max_size=4),
+    min_size=2, max_size=2, unique=True,
+))
+def test_any_label_round_trips_or_is_refused_on_write(labels):
+    t = bt.gen_cyclic(2, 0.9)
+    try:
+        text = bt.serialize_tournament(t, tuple(labels))
+    except bt.LabelError:
+        assert any("," in s or s.split() != [s] for s in labels)
+        return
+    assert bt.parse_document(text).labels == tuple(labels)

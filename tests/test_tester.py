@@ -9,7 +9,7 @@ import pytest
 
 import bttest as bt
 from bttest import tester
-from conftest import oracle_unbalanced_count
+from conftest import oracle_unbalanced_count, reference_triangle
 
 
 class TestSampleSize:
@@ -110,7 +110,8 @@ class TestVerdicts:
 
 class TestQueryComplexity:
     class _CountingView:
-        """Duck-typed tournament that counts edge queries."""
+        """Duck-typed tournament that counts edge queries: one per entry of
+        the index arrays handed to ``log_odds``."""
 
         def __init__(self, t):
             self._t = t
@@ -118,7 +119,7 @@ class TestQueryComplexity:
             self.calls = 0
 
         def log_odds(self, x, y):
-            self.calls += 1
+            self.calls += np.size(x)
             return self._t.log_odds(x, y)
 
     def test_queries_at_most_three_per_sample(self):
@@ -129,11 +130,26 @@ class TestQueryComplexity:
             verdict = bt.test_bt(view, cfg)
             assert verdict.accepted
             assert view.calls == 3 * bt.sample_size(0.1)  # independent of n
+            assert verdict.queries == view.calls
 
     def test_early_stop_queries(self, cyclic3):
         view = self._CountingView(cyclic3)
-        bt.test_bt(view, bt.TesterConfig(eps=0.5, seed=0))
+        verdict = bt.test_bt(view, bt.TesterConfig(eps=0.5, seed=0))
         assert view.calls == 3  # rejected on the first triangle
+        assert verdict.queries == view.calls
+
+    def test_late_reject_reads_fewer_than_six_edges_per_sample(self):
+        # one unbalanced triangle among C(12, 3) = 220: rejects come late
+        t = bt.set_prob(bt.gen_bt(np.ones(12)), 0, 1, 0.9)
+        late = 0
+        for seed in range(40):
+            view = self._CountingView(t)
+            verdict = bt.test_bt(view, bt.TesterConfig(eps=1e-3, seed=seed))
+            assert verdict.queries == view.calls
+            if not verdict.accepted:
+                late += verdict.samples_used > 1
+                assert view.calls < 6 * verdict.samples_used
+        assert late > 0
 
 
 class TestSamplingUniformity:
@@ -178,23 +194,17 @@ class TestSamplingUniformity:
         assert v.samples_used == 1
 
 
-def _reference_triangle(draws):
-    """Partial Fisher-Yates on a virtual identity array: position i swaps
-    with position draws[i], and positions 0..2 end up holding the triple."""
-    arr = {}
-    for i, j in enumerate(draws):
-        arr[i], arr[j] = arr.get(j, j), arr.get(i, i)
-    return tuple(sorted(arr[i] for i in range(3)))
-
-
 class TestBoundedSampling:
     @pytest.mark.parametrize("n", [3, 4, 100, 2**33])
     def test_chunked_draws_match_one_draw(self, n):
         k = 2 * tester._CHUNK + 5
         draws = np.random.default_rng(5).integers(np.tile(np.arange(3), k), n)
-        expected = [_reference_triangle(d) for d in draws.reshape(k, 3).tolist()]
-        got = tester._triangles(np.random.default_rng(5), n, k)
-        assert [tri.vertices() for tri in got] == expected
+        expected = [reference_triangle(d) for d in draws.reshape(k, 3).tolist()]
+        for chunk in (1, tester._CHUNK):
+            got = list(tester._triangles(np.random.default_rng(5), n, k, chunk))
+            assert all(tri.shape[1:] == (3,) for tri in got)
+            assert max(len(tri) for tri in got) == tester._CHUNK
+            assert [tuple(row) for tri in got for row in tri.tolist()] == expected
 
     def test_memory_does_not_grow_with_sample_size(self):
         t = bt.gen_cyclic(50, 0.9)

@@ -308,3 +308,71 @@ def test_dense_probs_matches_queries():
     # prob_matrix must agree bit-for-bit with one-at-a-time queries
     t = bt.gen_random(6, 11)
     np.testing.assert_array_equal(dense_probs(t), t.prob_matrix())
+
+
+def _read_battery():
+    """Random, cyclic, mixed-orientation and floor-weight inputs."""
+    rng = np.random.default_rng(41)
+    mixed = []
+    for n in (3, 6, 11):
+        m = n * (n - 1) // 2
+        w = rng.uniform(bt.ETA, 1.0 - bt.ETA, m)
+        w[::3], w[1::4] = bt.ETA, 1.0 - bt.ETA
+        mixed.append(bt.StochasticTournament(n, w, rng.random(m) < 0.5))
+    floor = bt.StochasticTournament(4, [1e-12, 1.0 - 1e-12] * 3, [True, False] * 3)
+    return [bt.gen_random(9, s) for s in range(3)] + [bt.gen_cyclic(7, 0.9), floor] + mixed
+
+
+class TestArrayReads:
+    """``log_odds`` over index arrays, and the scalar callers built on it,
+    give the bits of one-at-a-time reads and of ``log_odds_matrix()``."""
+
+    @pytest.mark.parametrize("t", _read_battery())
+    def test_scalar_and_array_reads_match_the_matrix(self, t):
+        ell = t.log_odds_matrix()
+        xs, ys = np.nonzero(~np.eye(t.n, dtype=bool))
+        arr = t.log_odds(xs, ys)
+        assert arr.tobytes() == ell[xs, ys].tobytes()
+        scalars = [t.log_odds(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert all(type(v) is float for v in scalars)
+        assert np.array(scalars).tobytes() == arr.tobytes()
+        grid = t.log_odds(xs.reshape(-1, 1), ys.reshape(-1, 1))
+        assert grid.shape == (xs.size, 1)
+        assert grid.tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("t", _read_battery())
+    def test_scalar_callers_keep_their_bits(self, t):
+        ell = t.log_odds_matrix().tolist()
+        tris = list(combinations(range(t.n), 3))
+        for x, y, z in tris:
+            expected = ell[x][y] + ell[y][z] + ell[z][x]
+            got = bt.log_triangle_ratio(t, bt.Triangle(x, y, z))
+            assert got.hex() == expected.hex()
+        batched = bt.log_triangle_ratio(t, np.array(tris))
+        singles = [bt.log_triangle_ratio(t, bt.Triangle(*v)) for v in tris]
+        assert batched.tobytes() == np.array(singles).tobytes()
+        rng = np.random.default_rng(t.n)
+        for size in range(3, t.n + 1):
+            vs = rng.permutation(t.n)[:size].tolist()
+            cycle = bt.DirectedCycle(tuple(vs))
+            expected = sum(ell[u][v] for u, v in zip(vs, vs[1:] + vs[:1]))
+            assert bt.log_cycle_ratio(t, cycle).hex() == expected.hex()
+        for r in range(t.n):
+            expected = np.exp([ell[y][r] if y != r else 0.0 for y in range(t.n)])
+            assert bt.scores_from_root(t, r).tobytes() == expected.tobytes()
+
+    def test_array_errors_match_the_scalar_ones(self, cyclic3):
+        with pytest.raises(bt.VertexOutOfRangeError):
+            cyclic3.log_odds(np.array([0, 1, 3]), np.array([1, 2, 0]))
+        with pytest.raises(bt.VertexOutOfRangeError):
+            cyclic3.log_odds(np.array([0, -1]), np.array([1, 2]))
+        with pytest.raises(bt.SelfLoopError):
+            cyclic3.log_odds(np.array([0, 2]), np.array([1, 2]))
+        with pytest.raises(bt.VertexOutOfRangeError):
+            cyclic3.log_odds(0, 3)
+        with pytest.raises(bt.VertexOutOfRangeError):
+            cyclic3.log_odds(2**70, 0)
+        with pytest.raises(bt.SelfLoopError):
+            cyclic3.log_odds(1, 1)
+        with pytest.raises(bt.VertexOutOfRangeError):
+            bt.scores_from_root(cyclic3, 3)
