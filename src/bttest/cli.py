@@ -7,20 +7,18 @@ rejected (``test`` rejecting, ``validate`` on a bad file), 2 for usage or
 runtime errors.  All randomness requires a seed, which is echoed in the
 report together with the RNG algorithm identifier.
 
-The balance tolerance defaults to the library's tau and can be overridden
-globally with the ``BT_DEFAULT_TOL`` environment variable or per call with
-``--tol``.
+The balance tolerance defaults to the library's tau; ``test --tol`` sets
+it per call.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from ._version import __version__
 from .balance import total_discrepancy
-from .errors import ParameterOutOfRangeError, TournamentError
+from .errors import TournamentError
 from .fileio import (
     load_tournament,
     load_tree,
@@ -39,16 +37,6 @@ from .repair import (
 )
 from .tester import TesterConfig, test_bt
 from .tournament import TAU, gen_bt, gen_cyclic, gen_random
-
-
-def _default_tol() -> float:
-    raw = os.environ.get("BT_DEFAULT_TOL", str(TAU))
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParameterOutOfRangeError(
-            f"BT_DEFAULT_TOL={raw!r} is not a number"
-        ) from None
 
 
 def _emit(command: str, config: dict, result: dict, seed=None) -> None:
@@ -221,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=1.0 / 3.0,
                    help="failure probability (default 1/3)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=_default_tol(),
+    p.add_argument("--tol", type=float, default=TAU,
                    help="balance tolerance on |log lambda|")
     p.add_argument("--eps-balance", type=float, default=None, dest="eps_balance",
                    help="use the eps-balanced predicate at this eps instead")

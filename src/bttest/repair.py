@@ -26,7 +26,7 @@ from .balance import (
     TreeWeights,
     _curl,
     _disc_components,
-    _tree_structure,
+    _tree_potential,
     _triangle_slabs,
     total_discrepancy,
 )
@@ -63,6 +63,13 @@ class RepairReport:
     is ever edited.  ``per_edge_bound_ok`` records that every edit stayed
     within the discrepancy of its triangle; ``clamped`` lists pairs whose
     balancing value fell outside [eta, 1 - eta] and was clamped.
+
+    An edit keeps the pair's stored orientation.  When its balancing weight
+    w lies within about 1e-9 of 1 that stores the large side, whose
+    complement carries about ulp/(1 - w) relative error, so the triangle is
+    balanced only to about that, not to ``tol``: weights (1e-12, 0.5, 0.5)
+    on n = 3, stored high -> low, repaired at root 0, leave |log lambda| =
+    2.2e-5 after the edit 2 -> 1 to 0.999999999999.
     """
 
     root: int
@@ -238,21 +245,12 @@ def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
     so long ratio chains cannot overflow.
     """
     n = tw.n
-    parent, depth = _tree_structure(n, [(u, v) for u, v, _ in tw.edges])
-    # log odds of parent beating child, keyed by child
-    edge_lo: dict[int, float] = {}
     for u, v, w in tw.edges:
         if not (eta <= w <= 1.0 - eta):
             raise OutOfRangeProbabilityError(
                 f"tree weight {w} on ({u}, {v}) outside [{eta}, {1.0 - eta}]"
             )
-        child, sign = (v, 1.0) if parent[v] == u else (u, -1.0)
-        edge_lo[child] = sign * logit(w)
-
-    log_pi = np.zeros(n)
-    for v in sorted(range(n), key=lambda v: depth[v]):
-        if parent[v] >= 0:
-            log_pi[v] = log_pi[parent[v]] + edge_lo[v]
+    log_pi = _tree_potential(n, [(u, v, logit(w)) for u, v, w in tw.edges])
 
     lo, hi = np.triu_indices(n, k=1)
     weights = logistic(log_pi[hi] - log_pi[lo])

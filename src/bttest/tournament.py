@@ -135,6 +135,8 @@ class StochasticTournament:
         """``log(p_xy / p_yx)`` from the stored weight, one edge query per entry
         of equal-shape index arrays, a float for two ints; exactly skew."""
         x, y = np.asarray(x), np.asarray(y)
+        if x.dtype.kind == "u" or y.dtype.kind == "u":  # uint64 with int64 gives float64
+            x, y = np.asarray(x.tolist()), np.asarray(y.tolist())
         lo, hi = np.minimum(x, y), np.maximum(x, y)
         if not np.all((0 <= lo) & (lo < hi) & (hi < self.n)):
             for a, b in np.broadcast(x, y):

@@ -269,6 +269,13 @@ class TestFundamentalCycles:
             tree = random_tree(7, rng)
             assert bt.check_fundamental_cycles(repaired, tree)
 
+    def test_tree_given_as_an_iterator(self):
+        tree = [(0, 1), (2, 1), (1, 3)]
+        cycles = list(bt.fundamental_cycles(4, tree))
+        assert list(bt.fundamental_cycles(4, iter(tree))) == cycles
+        t = bt.gen_random(4, 0)
+        assert bt.check_fundamental_cycles(t, iter(tree)) == bt.check_fundamental_cycles(t, tree)
+
     def test_not_a_spanning_tree(self, cyclic3):
         with pytest.raises(bt.NotASpanningTreeError):
             bt.check_fundamental_cycles(cyclic3, [(0, 1)])  # too few
@@ -277,3 +284,7 @@ class TestFundamentalCycles:
         with pytest.raises(bt.NotASpanningTreeError):
             t4 = bt.gen_random(4, 0)
             bt.check_fundamental_cycles(t4, [(0, 1), (1, 0), (2, 3)])
+        with pytest.raises(bt.NotASpanningTreeError):
+            bt.check_fundamental_cycles(cyclic3, [(0, 0), (1, 2)])  # self-loop
+        with pytest.raises(bt.NotASpanningTreeError):
+            bt.check_fundamental_cycles(cyclic3, [(0, 1), (0, 3)])  # out of range

@@ -92,15 +92,12 @@ class TestTest:
         )
         assert code == 0
 
-    def test_tol_env_override(self, capsys, cyclic_file, monkeypatch):
-        monkeypatch.setenv("BT_DEFAULT_TOL", "0.125")
+    def test_tol_flag_sets_the_balance_tolerance(self, capsys, cyclic_file):
         code, report = run(capsys, "test", cyclic_file, "--eps", "0.5")
-        assert report["config"]["tol"] == 0.125
-
-    def test_tol_env_not_a_number(self, capsys, monkeypatch):
-        monkeypatch.setenv("BT_DEFAULT_TOL", "abc")
-        assert main(["--version"]) == 2
-        assert capsys.readouterr().err.startswith("bttest: error: BT_DEFAULT_TOL")
+        assert (code, report["config"]["tol"]) == (1, bt.TAU)
+        # the one triangle has |log lambda| = 3 logit(0.9) = 6.59
+        code, report = run(capsys, "test", cyclic_file, "--eps", "0.5", "--tol", "7")
+        assert (code, report["config"]["tol"]) == (0, 7.0)
 
     def test_whitespace_label_exits_2(self, capsys, tmp_path):
         path = tmp_path / "nbsp.bt"

@@ -2,13 +2,16 @@
 tournaments, with weights drawn up to the probability floor eta."""
 
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bttest as bt
 from bttest import tester
+from bttest.tournament import logistic, logit
 from conftest import dense_probs, oracle_per_root_sums, reference_triangle
 
 ETA = bt.ETA
@@ -34,24 +37,30 @@ label = st.text("abcxyzAZ019_-.", min_size=1, max_size=6)
 
 
 @st.composite
-def spanning_trees(draw):
-    """A random spanning tree: each vertex after 0 hangs off an earlier one,
-    in a random orientation, with a weight anywhere in [eta, 1 - eta]."""
-    n = draw(st.integers(2, 12))
-    edges = []
-    for v in range(1, n):
-        u, w = draw(st.integers(0, v - 1)), draw(weight)
-        edges.append((u, v, w) if draw(st.booleans()) else (v, u, w))
-    return bt.TreeWeights(n, tuple(draw(st.permutations(edges))))
+def tree_edges(draw, n):
+    """A random spanning tree on [0, n): each vertex after 0 hangs off an
+    earlier one, in a random orientation, edges in a random order."""
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    return draw(st.permutations([e if draw(st.booleans()) else e[::-1] for e in edges]))
 
 
 @st.composite
-def near_bt(draw):
+def spanning_trees(draw):
+    """A random spanning tree with a weight anywhere in [eta, 1 - eta] on
+    each edge."""
+    n = draw(st.integers(2, 12))
+    edges = draw(tree_edges(n))
+    weights = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+    return bt.TreeWeights(n, tuple((u, v, w) for (u, v), w in zip(edges, weights)))
+
+
+@st.composite
+def near_bt(draw, min_n=2, max_noise=1.0):
     """A tournament whose log-odds are an exact model's plus bounded noise,
     together with the model's scores."""
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(min_n, 12))
     scores = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
-    noise = draw(st.floats(0.0, 1.0))
+    noise = draw(st.floats(0.0, max_noise))
     seed = draw(st.integers(0, 2**32 - 1))
     x, y = np.triu_indices(n, k=1)
     lo = np.log(scores[x] / scores[y])
@@ -121,6 +130,35 @@ def test_log_odds_matrix_is_the_per_edge_query(t):
         for y in range(t.n):
             if x != y:
                 assert ell[x, y] == t.log_odds(x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tournaments(min_n=2) | near_bt().map(lambda case: case[0]),
+       st.sampled_from([bt.TAU, 1e-6, 1e-3, 0.1, 1.0, 10.0]), st.data())
+def test_cycle_check_matches_the_per_cycle_reference(t, tol, data):
+    tree = data.draw(tree_edges(t.n))
+    cycles = list(bt.fundamental_cycles(t.n, tree))
+    for c in cycles:
+        size = sum(abs(t.log_odds(a, b)) for a, b in c.edges())
+        # the residual and the cycle sum round differently
+        assume(abs(abs(bt.log_cycle_ratio(t, c)) - tol) > 1e-12 * (1.0 + size))
+    expected = all(bt.is_cycle_balanced(t, c, tol) for c in cycles)
+    assert bt.check_fundamental_cycles(t, tree, tol) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(spanning_trees(), st.data())
+def test_extended_tree_passes_the_cycle_check_on_any_tree(tw, data):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", bt.ClampWarning)
+        t = bt.extend_tree(tw)
+    assume(not caught)
+    # chords near 1 are stored as their large side, so each log-odds read
+    # carries up to about one ulp of 1 over min(w, 1 - w) (_rounding_slack)
+    slack = tw.n * 8.0 * 2.0**-52 / np.minimum(t.weights, 1.0 - t.weights).min()
+    own = [(u, v) for u, v, _ in tw.edges]
+    assert bt.check_fundamental_cycles(t, own, bt.TAU + slack)
+    assert bt.check_fundamental_cycles(t, data.draw(tree_edges(tw.n)), bt.TAU + slack)
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,3 +285,34 @@ def test_any_label_round_trips_or_is_refused_on_write(labels):
         assert any("," in s or s.split() != [s] for s in labels)
         return
     assert bt.parse_document(text).labels == tuple(labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_bt(min_n=3, max_noise=0.0), tester_eps, seeds, st.data())
+def test_equivalence_circle(case, eps, seed, data):
+    """On an exact model the fit is reversible, every triangle and every
+    fundamental cycle is balanced and the tester accepts; moving one pair's
+    log-odds breaks both the cycle check and reversibility."""
+    t, _ = case
+    n = t.n
+    ell = t.log_odds_matrix()
+    x, y, z = np.array(list(combinations(range(n), 3))).T
+    tree = data.draw(tree_edges(n))
+    pi = bt.scores_to_stationary(bt.fit_scores_least_squares(t))
+    assert bt.check_reversible(t, pi)
+    assert np.abs(ell[x, y] + ell[y, z] + ell[z, x]).max() <= bt.TAU
+    assert bt.check_fundamental_cycles(t, tree)
+    assert bt.test_bt(t, bt.TesterConfig(eps=eps, seed=seed)).accepted
+
+    i = data.draw(st.integers(0, t.weights.size - 1))
+    delta = data.draw(st.floats(1e-6, 1.0))
+    weights = t.weights.copy()
+    weights[i] = logistic(logit(weights[i]) + delta)
+    moved = bt.StochasticTournament(n, weights, t.low_wins)
+    # for n >= 3 every pair lies on some fundamental cycle of any tree
+    assert not bt.check_fundamental_cycles(moved, tree)
+    assert not bt.check_fundamental_cycles(moved, data.draw(tree_edges(n)))
+    assert not bt.check_reversible(moved, pi)
+    assert not bt.check_reversible(
+        moved, bt.scores_to_stationary(bt.fit_scores_least_squares(moved))
+    )

@@ -339,6 +339,9 @@ class TestArrayReads:
         grid = t.log_odds(xs.reshape(-1, 1), ys.reshape(-1, 1))
         assert grid.shape == (xs.size, 1)
         assert grid.tobytes() == arr.tobytes()
+        mixed = t.log_odds(xs.astype(np.uint64), ys.astype(np.int64))
+        assert mixed.tobytes() == arr.tobytes()
+        assert t.log_odds(np.uint64(xs[0]), int(ys[0])) == scalars[0]
 
     @pytest.mark.parametrize("t", _read_battery())
     def test_scalar_callers_keep_their_bits(self, t):
