@@ -32,7 +32,7 @@ from .errors import (
     ParameterOutOfRangeError,
     SelfLoopError,
 )
-from .tournament import TAU, StochasticTournament
+from .tournament import TAU, StochasticTournament, _potential_residual
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,22 @@ def discrepancy(t: StochasticTournament, tri: Triangle) -> Discrepancy:
     return Discrepancy(*_disc_components(p, *tri.vertices()))
 
 
+def _balancing_weight(p_xz, p_zy, p_zx, p_yz):
+    """``p_xy`` that alone balances the triangle {x, y, z}; elementwise.
+    Callers read each edge in both directions, not as ``1 - p``: for a weight
+    w near 0 stored as its complement, ``1 - (1 - w)`` keeps few digits of w."""
+    via = p_xz * p_zy
+    return via / (via + p_zx * p_yz)
+
+
 def _disc_components(p, x, y, z):
     """(alpha, beta, gamma) of triangles x -> y -> z -> x, reading
-    ``p[u, v] = p_uv``; elementwise when x, y, z index a probability matrix.
-
-    Both directions of each edge are read rather than recomputed as
-    ``1 - p``: for a weight near 0 stored as its complement, ``1 - (1 - w)``
-    keeps almost none of the digits of w.
-    """
+    ``p[u, v] = p_uv``; elementwise when x, y, z index a probability matrix."""
     p_xy, p_yz, p_zx = p[x, y], p[y, z], p[z, x]
     p_yx, p_zy, p_xz = p[y, x], p[z, y], p[x, z]
-    alpha = p_xy - p_zy * p_xz / (p_zy * p_xz + p_yz * p_zx)
-    beta = p_yz - p_yx * p_xz / (p_yx * p_xz + p_xy * p_zx)
-    gamma = p_zx - p_yx * p_zy / (p_yx * p_zy + p_xy * p_yz)
+    alpha = p_xy - _balancing_weight(p_xz, p_zy, p_zx, p_yz)
+    beta = p_yz - _balancing_weight(p_yx, p_xz, p_xy, p_zx)
+    gamma = p_zx - _balancing_weight(p_zy, p_yx, p_yz, p_xy)
     return alpha, beta, gamma
 
 
@@ -342,4 +345,4 @@ def check_fundamental_cycles(
     _tree_structure(t.n, tree_edges)  # validate before reading any edge
     ell = t.log_odds_matrix()
     pot = _tree_potential(t.n, [(u, v, ell[u, v]) for u, v in tree_edges])
-    return bool(np.all(np.abs(ell - (pot[None, :] - pot[:, None])) <= tol))
+    return bool(np.all(np.abs(_potential_residual(ell, pot)) <= tol))

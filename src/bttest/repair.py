@@ -24,6 +24,7 @@ import numpy as np
 
 from .balance import (
     TreeWeights,
+    _balancing_weight,
     _curl,
     _disc_components,
     _tree_potential,
@@ -94,16 +95,12 @@ def repair_with_root(
     """
     t._check_vertex(r)
     u, v = t._oriented()
-    idx = np.flatnonzero((u != r) & (v != r))
-    u, v, old = u[idx], v[idx], t.weights[idx]
-    p = t.prob_matrix()
     # log lambda of triangle (u, v, r) traversed u -> v -> r -> u
     hit = np.abs(_curl(t.log_odds_matrix(), u, v, r)) > tol
-    idx, u, v, old = idx[hit], u[hit], v[hit], old[hit]
-    p_ur, p_rv = p[u, r], p[r, v]
-    num = (1.0 - p_rv) * (1.0 - p_ur)  # p_vr * p_ru
-    den = p_rv * p_ur
-    new = den / (den + num)
+    idx = np.flatnonzero(hit & (u != r) & (v != r))
+    u, v, old = u[idx], v[idx], t.weights[idx]
+    p = t.prob_matrix()
+    new = _balancing_weight(p[u, r], p[r, v], p[r, u], p[v, r])
     clamp = (new < t.eta) | (new > 1.0 - t.eta)
     new = np.clip(new, t.eta, 1.0 - t.eta)
     new_weights = t.weights.copy()
@@ -239,10 +236,12 @@ def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
     A stationary measure is grown along the tree from its lowest vertex
     (pi(root) = 1, pi(child) = pi(parent) * odds of the parent beating the
     child), then every chord gets the unique detailed-balance weight
-    ``w / (1 - w) = pi(hi) / pi(lo)``.  Tree edges keep their input weight
-    and orientation bit-for-bit.  Chord weights outside [eta, 1 - eta] are
-    clamped with a ClampWarning.  The measure is accumulated in log space
-    so long ratio chains cannot overflow.
+    ``p_lo,hi / p_hi,lo = pi(hi) / pi(lo)``, stored along its small side
+    (weight at most 1/2, low -> high on a tie) so that no read loses digits.
+    Tree edges keep their input weight and orientation bit-for-bit.  Chord
+    weights below eta are clamped up to it with a ClampWarning.  The
+    measure is accumulated in log space so long ratio chains cannot
+    overflow.
     """
     n = tw.n
     for u, v, w in tw.edges:
@@ -253,10 +252,11 @@ def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
     log_pi = _tree_potential(n, [(u, v, logit(w)) for u, v, w in tw.edges])
 
     lo, hi = np.triu_indices(n, k=1)
-    weights = logistic(log_pi[hi] - log_pi[lo])
-    outside = (weights < eta) | (weights > 1.0 - eta)
-    weights = np.clip(weights, eta, 1.0 - eta)
-    low_wins = np.ones(weights.size, dtype=bool)
+    ell = log_pi[hi] - log_pi[lo]  # log-odds of lo beating hi
+    low_wins = ell <= 0.0
+    weights = logistic(-np.abs(ell))  # the small side, at most 1/2
+    outside = weights < eta
+    weights = np.maximum(weights, eta)
     for u, v, w in tw.edges:
         i = pair_index(n, min(u, v), max(u, v))
         weights[i], low_wins[i], outside[i] = w, u < v, False

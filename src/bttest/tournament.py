@@ -34,8 +34,8 @@ from .errors import (
 #: Default positivity floor for edge probabilities.
 ETA = 1e-12
 
-#: Default tolerance on |log lambda| for "balanced", and on the relative
-#: detailed-balance residual for "reversible".
+#: Default tolerance, one bound on a |log| for both checks: on |log lambda|
+#: for "balanced", and on |log(pi_x p_xy / (pi_y p_yx))| for "reversible".
 TAU = 1e-9
 
 
@@ -96,8 +96,11 @@ class StochasticTournament:
                 f"expected {m} pair entries for n={self.n}, "
                 f"got {weights.shape} / {low_wins.shape}"
             )
-        if not (0.0 < self.eta < 0.5):
-            raise ParameterOutOfRangeError(f"eta must be in (0, 0.5), got {self.eta}")
+        # a tiny eta makes 1 - eta round to 1.0, which would admit a weight of 1
+        if not (0.0 < self.eta < 0.5) or 1.0 - self.eta == 1.0:
+            raise ParameterOutOfRangeError(
+                f"eta must be in (0, 0.5) with 1 - eta < 1, got {self.eta}"
+            )
         if not np.all(np.isfinite(weights)):
             raise OutOfRangeProbabilityError("non-finite edge weight")
         if np.any(weights < self.eta) or np.any(weights > 1.0 - self.eta):
@@ -113,8 +116,8 @@ class StochasticTournament:
     # -- queries ---------------------------------------------------------
 
     def _check_vertex(self, v: int):
-        if not 0 <= v < self.n:
-            raise VertexOutOfRangeError(f"vertex {v} not in [0, {self.n})")
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < self.n):
+            raise VertexOutOfRangeError(f"vertex {v!r} is not an integer in [0, {self.n})")
 
     def _stored(self, x: int, y: int) -> tuple[float, bool]:
         """Stored weight of the pair {x, y} and whether it is stored as x -> y."""
@@ -138,7 +141,9 @@ class StochasticTournament:
         if x.dtype.kind == "u" or y.dtype.kind == "u":  # uint64 with int64 gives float64
             x, y = np.asarray(x.tolist()), np.asarray(y.tolist())
         lo, hi = np.minimum(x, y), np.maximum(x, y)
-        if not np.all((0 <= lo) & (lo < hi) & (hi < self.n)):
+        # a float index array passes the range test, so only ints skip the check
+        if not (x.dtype.kind == y.dtype.kind == "i"
+                and np.all((0 <= lo) & (lo < hi) & (hi < self.n))):
             for a, b in np.broadcast(x, y):
                 self._stored(a, b)  # raises on the first bad entry
         i = pair_index(self.n, lo, hi)
@@ -245,6 +250,11 @@ def markov_matrix(t: StochasticTournament) -> np.ndarray:
     return q
 
 
+def _potential_residual(ell: np.ndarray, pot: np.ndarray) -> np.ndarray:
+    """``L[x, y] - (pot[y] - pot[x])``: 0 iff ``L`` is the gradient of ``pot``."""
+    return ell - (pot[None, :] - pot[:, None])
+
+
 def check_reversible(
     t: StochasticTournament,
     pi: Sequence[float] | np.ndarray,
@@ -253,9 +263,9 @@ def check_reversible(
 ) -> bool:
     """Detailed-balance check of ``pi`` against the tournament.
 
-    With ``eps == 0`` this tests ``pi_x p_xy == pi_y p_yx`` for every pair,
-    up to relative tolerance ``tol`` (the residual is scale-free, so ``pi``
-    need not be normalised).  With ``eps > 0`` it tests the approximate form
+    Tests ``|D| <= tol`` at ``eps == 0``, else ``|D| <= log1p(eps)``, where
+    ``D = log(pi_x p_xy / (pi_y p_yx))`` is read off the log-odds matrix and
+    ``log(pi)`` (so ``pi`` need not be normalised).  With ``eps > 0`` this is
 
         (1 + eps)^-1  <=  pi_x p_xy / (pi_y p_yx)  <=  1 + eps
 
@@ -269,17 +279,10 @@ def check_reversible(
         raise ParameterOutOfRangeError("pi must be strictly positive and finite")
     if eps < 0.0:
         raise ParameterOutOfRangeError(f"eps must be >= 0, got {eps}")
-    p = t.prob_matrix()
-    flow = pi[:, None] * p  # flow[x, y] = pi_x * p_xy
-    if eps == 0.0:
-        num = np.abs(flow - flow.T)
-        den = np.maximum(flow, flow.T)
-        np.fill_diagonal(den, 1.0)
-        return bool(np.all(num <= tol * den))
-    iu = np.triu_indices(t.n, k=1)
-    ratio = flow[iu] / flow.T[iu]
-    hi = 1.0 + eps
-    return bool(np.all(ratio <= hi) and np.all(ratio >= 1.0 / hi))
+    # pi / max first: at pi ~ 1e-300, log(pi) ~ -690 has an ulp of 1e-13
+    with np.errstate(divide="ignore", invalid="ignore"):  # a spread past 1e323 gives 0
+        residual = _potential_residual(t.log_odds_matrix(), np.log(pi / pi.max()))
+    return bool(np.all(np.abs(residual) <= (tol if eps == 0.0 else np.log1p(eps))))
 
 
 # -- generators ----------------------------------------------------------

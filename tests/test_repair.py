@@ -2,6 +2,7 @@
 and the desk-scale distance oracle."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -101,15 +102,15 @@ class TestRepairWithRoot:
 
     def test_edit_list_matches_per_edge_reference(self):
         # one edge at a time, in pair order and stored orientation, with the
-        # balancing value written as den / (den + num)
+        # balancing value written as den / (den + num), each probability
+        # one query in the direction it is used
         def reference(t, r):
             edits = []
             for u, v, old in t.edges():
                 if r in (u, v):
                     continue
-                p_ur, p_rv = t.prob(u, r), t.prob(r, v)
-                num = (1.0 - p_rv) * (1.0 - p_ur)
-                den = p_rv * p_ur
+                num = t.prob(v, r) * t.prob(r, u)
+                den = t.prob(r, v) * t.prob(u, r)
                 if abs(math.log(old / (1.0 - old)) + math.log(num / den)) <= bt.TAU:
                     continue
                 new = min(max(den / (den + num), t.eta), 1.0 - t.eta)
@@ -123,6 +124,15 @@ class TestRepairWithRoot:
         for t in (corrupted, mixed, clamping):
             for r in range(t.n):
                 assert bt.repair_with_root(t, r)[1].edits == reference(t, r)
+
+    def test_balancing_weight_reads_both_directions(self):
+        # p_02 = 1 - 1e-12 is stored as its complement 2 -> 0, so recomputing
+        # p_20 as 1 - p_02 keeps few digits of 1e-12
+        t = bt.StochasticTournament(3, [1e-12, 1e-12, 0.3], [False, False, True])
+        repaired, report = bt.repair_with_root(t, 0)
+        assert report.edits == ((1, 2, 0.3, 0.5),)
+        assert abs(bt.log_triangle_ratio(repaired, bt.Triangle(0, 1, 2))) <= bt.TAU
+        assert report.per_edge_bound_ok
 
     def test_vertex_validation(self, cyclic3):
         with pytest.raises(bt.VertexOutOfRangeError):
@@ -328,6 +338,19 @@ class TestExtendTree:
             assert all_triangles_balanced(t, tol=1e-9)
             for u, v, w in weighted:
                 assert t.prob(u, v) == w
+
+    def test_chords_store_their_small_side(self):
+        # the chord {1, 2} has weight 1 - w on 1 -> 2; stored that way, its
+        # complement would keep about ulp / w of w's digits
+        for w in (1e-12, 2e-12, 1e-9):
+            tw = bt.TreeWeights(3, ((1, 0, 0.5), (2, 0, w)))
+            with warnings.catch_warnings():
+                # at w = eta the chord rounds a few ulp below eta and is clamped
+                warnings.simplefilter("ignore", bt.ClampWarning)
+                t = bt.extend_tree(tw)
+            assert list(t.edges())[2] == (2, 1, t.weights[2])
+            assert t.weights[2] <= 0.5
+            assert bt.check_fundamental_cycles(t, [(1, 0), (2, 0)])
 
     def test_chord_clamping_warns(self):
         tw = bt.TreeWeights(3, ((0, 1, 0.8), (1, 2, 0.8)))

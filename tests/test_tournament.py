@@ -81,6 +81,17 @@ class TestProb:
         t = bt.new_tournament(2, [(0, 1, 1.0 - bt.ETA)])
         assert t.prob(0, 1) + t.prob(1, 0) == 1.0
 
+    @pytest.mark.parametrize("read", [
+        lambda t: t.prob(0.5, 1),
+        lambda t: t.log_odds(np.array([0.0]), np.array([1.0])),
+        lambda t: bt.set_prob(t, 0.5, 2, 0.3),
+        lambda t: bt.repair_with_root(t, 1.5),
+        lambda t: bt.scores_from_root(t, 1.5),
+    ], ids=["prob", "log_odds", "set_prob", "repair_with_root", "scores_from_root"])
+    def test_non_integer_vertex(self, cyclic3, read):
+        with pytest.raises(bt.VertexOutOfRangeError):
+            read(cyclic3)
+
     def test_immutable(self, cyclic3):
         with pytest.raises(ValueError):
             cyclic3.weights[0] = 0.3
@@ -93,6 +104,20 @@ class TestProb:
         ]
         assert all(type(x) is int and type(y) is int for x, y, _ in edges)
         assert all(type(w) is float and t.prob(x, y) == w for x, y, w in edges)
+
+
+class TestEtaFloor:
+    def test_eta_below_the_ulp_of_one(self):
+        # 1 - 1e-20 == 1.0, so the band would admit a weight of exactly 1
+        with pytest.raises(bt.ParameterOutOfRangeError):
+            bt.StochasticTournament(2, [1.0], [True], eta=1e-20)
+        assert bt.StochasticTournament(2, [1.0 - 1e-16], [True], eta=1e-16).n == 2
+
+    def test_eta_whose_triangle_ratio_overflows(self):
+        # three weights of 1e-301 against the canonical orientation give
+        # log lambda = 2072, past what a float exp can hold
+        with pytest.raises(bt.ParameterOutOfRangeError):
+            bt.StochasticTournament(3, [1e-301] * 3, [False, True, False], eta=1e-301)
 
 
 class TestLogistic:
