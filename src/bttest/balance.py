@@ -32,7 +32,7 @@ from .errors import (
     ParameterOutOfRangeError,
     SelfLoopError,
 )
-from .tournament import TAU, StochasticTournament, _potential_residual
+from .tournament import TAU, StochasticTournament, _is_vertex, _potential_residual
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,9 @@ class TreeWeights:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        edges = tuple((int(u), int(v), float(w)) for u, v, w in self.edges)
+        edges = tuple(self.edges)
         _tree_structure(self.n, [(u, v) for u, v, _ in edges])  # validates
+        edges = tuple((int(u), int(v), float(w)) for u, v, w in edges)
         for u, v, w in edges:
             if not 0.0 < w < 1.0:
                 raise OutOfRangeProbabilityError(
@@ -262,14 +263,14 @@ def _tree_structure(n: int, tree_edges) -> tuple[np.ndarray, np.ndarray]:
     Raises NotASpanningTreeError unless the edges form a spanning tree of
     the complete graph on [0, n).
     """
-    edges = [(min(u, v), max(u, v)) for u, v in tree_edges]
-    if len(edges) != n - 1 or len(set(edges)) != len(edges):
+    edges = list(tree_edges)
+    if len(edges) != n - 1 or len({frozenset(e) for e in edges}) != len(edges):
         raise NotASpanningTreeError(
             f"expected {n - 1} distinct edges, got {len(edges)}"
         )
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
+        if u == v or not (_is_vertex(u, n) and _is_vertex(v, n)):
             raise NotASpanningTreeError(f"bad tree edge ({u}, {v})")
         adj[u].append(v)
         adj[v].append(u)
@@ -288,16 +289,15 @@ def _tree_structure(n: int, tree_edges) -> tuple[np.ndarray, np.ndarray]:
     return parent, depth
 
 
-def _tree_potential(n: int, tree: list[tuple[int, int, float]]) -> np.ndarray:
-    """Potential of a spanning tree given as ``(u, v, ell)`` triples, set
-    parents first: ``pot[0] = 0`` and ``pot[v] - pot[u] = ell`` along every
-    tree edge.  Validates the tree like ``_tree_structure``."""
-    parent, depth = _tree_structure(n, [(u, v) for u, v, _ in tree])
-    # pot[child] - pot[parent], keyed by child
-    rise = dict((v, ell) if parent[v] == u else (u, -ell) for u, v, ell in tree)
+def _tree_potential(n: int, tree_edges, ell) -> np.ndarray:
+    """Potential of a spanning tree, set parents first: ``pot[0] = 0`` and
+    ``pot[v] - pot[u] = ell[u, v]`` along every tree edge, read from the
+    log-odds matrix or a lookup holding both directions of each tree edge.
+    Validates the tree like ``_tree_structure`` before the first read."""
+    parent, depth = _tree_structure(n, tree_edges)
     pot = np.zeros(n)
     for v in np.argsort(depth, kind="stable")[1:].tolist():
-        pot[v] = pot[parent[v]] + rise[v]
+        pot[v] = pot[parent[v]] + ell[parent[v], v]
     return pot
 
 
@@ -341,8 +341,6 @@ def check_fundamental_cycles(
     matrix: a chord's entry is its fundamental cycle's log lambda, a tree
     edge's is rounding.  The fundamental cycles span the cycle space, so
     True certifies that every cycle is balanced."""
-    tree_edges = list(tree_edges)
-    _tree_structure(t.n, tree_edges)  # validate before reading any edge
     ell = t.log_odds_matrix()
-    pot = _tree_potential(t.n, [(u, v, ell[u, v]) for u, v in tree_edges])
+    pot = _tree_potential(t.n, tree_edges, ell)
     return bool(np.all(np.abs(_potential_residual(ell, pot)) <= tol))

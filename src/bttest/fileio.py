@@ -29,8 +29,7 @@ from typing import IO
 from ._version import __version__
 from .balance import TreeWeights
 from .errors import LabelError, ParseError
-from .tester import RNG_ALGORITHM
-from .tournament import ETA, StochasticTournament, new_tournament
+from .tournament import RNG_ALGORITHM, StochasticTournament, new_tournament
 
 TOURNAMENT_TAG = "bt-tournament v1"
 TREE_TAG = "bt-tree v1"
@@ -121,7 +120,7 @@ def _read(source: str | IO[str], tag: str):
     return n, labels, records
 
 
-def parse_document(source: str | IO[str], eta: float = ETA) -> TournamentDocument:
+def parse_document(source: str | IO[str]) -> TournamentDocument:
     """Parse a tournament file from a string or text stream.
 
     Malformed input raises :class:`ParseError` with the offending line
@@ -129,12 +128,12 @@ def parse_document(source: str | IO[str], eta: float = ETA) -> TournamentDocumen
     probabilities) surface as their dedicated error types.
     """
     n, labels, records = _read(source, TOURNAMENT_TAG)
-    return TournamentDocument(new_tournament(n, records, eta), labels)
+    return TournamentDocument(new_tournament(n, records), labels)
 
 
-def parse_tournament(source: str | IO[str], eta: float = ETA) -> StochasticTournament:
+def parse_tournament(source: str | IO[str]) -> StochasticTournament:
     """Like :func:`parse_document` but drops the labels."""
-    return parse_document(source, eta).tournament
+    return parse_document(source).tournament
 
 
 def serialize_tournament(
@@ -166,9 +165,9 @@ def serialize_tree(tw: TreeWeights) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_tournament(path: str, eta: float = ETA) -> TournamentDocument:
+def load_tournament(path: str) -> TournamentDocument:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_document(f, eta)
+        return parse_document(f)
 
 
 def load_tree(path: str) -> TreeWeights:

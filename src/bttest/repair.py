@@ -81,22 +81,22 @@ class RepairReport:
 
 
 def repair_with_root(
-    t: StochasticTournament, r: int, tol: float = TAU
+    t: StochasticTournament, r: int
 ) -> tuple[StochasticTournament, RepairReport]:
     """Rebalance every triangle through ``r`` by rewriting its opposite edge.
 
     For each pair {u, v} avoiding r whose triangle {r, u, v} is unbalanced
-    (beyond ``tol`` on |log lambda|), the present edge u -> v gets the
+    (beyond ``TAU`` on |log lambda|), the present edge u -> v gets the
     unique weight with odds ``(p_ur / p_ru) * (p_rv / p_vr)``, which
     balances the triangle exactly.  Triangles already balanced within
-    ``tol`` are left alone, so repairing a reversible tournament is the
+    ``TAU`` are left alone, so repairing a reversible tournament is the
     identity with total_change 0.  Balancing values outside
     [eta, 1 - eta] are clamped and flagged.
     """
     t._check_vertex(r)
     u, v = t._oriented()
     # log lambda of triangle (u, v, r) traversed u -> v -> r -> u
-    hit = np.abs(_curl(t.log_odds_matrix(), u, v, r)) > tol
+    hit = np.abs(_curl(t.log_odds_matrix(), u, v, r)) > TAU
     idx = np.flatnonzero(hit & (u != r) & (v != r))
     u, v, old = u[idx], v[idx], t.weights[idx]
     p = t.prob_matrix()
@@ -119,10 +119,10 @@ def repair_with_root(
     )
 
 
-def best_root(t: StochasticTournament, tie_tol: float = TAU) -> int:
+def best_root(t: StochasticTournament) -> int:
     """Vertex whose triangles carry the least total discrepancy.
 
-    O(n^3).  Per-root sums within ``tie_tol`` of the minimum count as tied
+    O(n^3).  Per-root sums within ``TAU`` of the minimum count as tied
     and the lowest id wins, so floating-point dust cannot perturb the
     choice on an already-reversible input.  The winning sum is at most
     ``(3/n) * sum_T disc(T)`` by the averaging identity.
@@ -130,8 +130,7 @@ def best_root(t: StochasticTournament, tie_tol: float = TAU) -> int:
     if t.n < 3:
         raise TooFewVerticesError(f"best_root needs n >= 3, got n={t.n}")
     per_root = total_discrepancy(t).per_root
-    cutoff = per_root.min() + tie_tol
-    return int(np.argmax(per_root <= cutoff))
+    return int(np.argmax(per_root <= per_root.min() + TAU))
 
 
 def repair(t: StochasticTournament) -> tuple[StochasticTournament, RepairReport]:
@@ -249,13 +248,16 @@ def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
             raise OutOfRangeProbabilityError(
                 f"tree weight {w} on ({u}, {v}) outside [{eta}, {1.0 - eta}]"
             )
-    log_pi = _tree_potential(n, [(u, v, logit(w)) for u, v, w in tw.edges])
+    rise = {(u, v): logit(w) for u, v, w in tw.edges}
+    rise.update({(v, u): -ell for (u, v), ell in rise.items()})
+    log_pi = _tree_potential(n, [(u, v) for u, v, _ in tw.edges], rise)
 
     lo, hi = np.triu_indices(n, k=1)
     ell = log_pi[hi] - log_pi[lo]  # log-odds of lo beating hi
     low_wins = ell <= 0.0
     weights = logistic(-np.abs(ell))  # the small side, at most 1/2
-    outside = weights < eta
+    # a chord whose exact weight is eta can round a few ulp below it
+    outside = weights < eta - 16 * np.spacing(eta)
     weights = np.maximum(weights, eta)
     for u, v, w in tw.edges:
         i = pair_index(n, min(u, v), max(u, v))
@@ -323,9 +325,7 @@ def _l1_objective(p: np.ndarray, phi: np.ndarray):
     return np.abs(p[x, y] - logistic(phi[..., x] - phi[..., y])).sum(axis=-1)
 
 
-def l1_distance_oracle(
-    t: StochasticTournament, budget: int = 200, tol: float = TAU
-) -> DistanceBounds:
+def l1_distance_oracle(t: StochasticTournament, budget: int = 200) -> DistanceBounds:
     """Bracket the L1 edit distance to the reversible property (n <= 8).
 
     Upper bound: the cheapest single-root repair, refined by coordinate
@@ -337,8 +337,9 @@ def l1_distance_oracle(
     midpoints between consecutive sorted points, where saturating terms
     can leave an interior minimum; it moves to the best candidate if that
     improves the objective by more than 1e-12.  Lower bound: the largest,
-    over unbalanced triangles, of the cheapest single-edge fix of that
-    triangle, capped at the upper bound so the bracket is always ordered.
+    over triangles unbalanced beyond ``TAU``, of the cheapest single-edge
+    fix of that triangle, capped at the upper bound so the bracket is
+    always ordered.
     Exactly reversible inputs report (0, 0).
     """
     if t.n > DESK_SCALE:
@@ -375,7 +376,7 @@ def l1_distance_oracle(
 
     lower = 0.0
     for x, ys, zs in _triangle_slabs(t.n):
-        unbalanced = np.abs(_curl(ell, x, ys, zs)) > tol
+        unbalanced = np.abs(_curl(ell, x, ys, zs)) > TAU
         fixes = np.abs(_disc_components(p, x, ys, zs)).min(axis=0)
         lower = max(lower, float(fixes[unbalanced].max(initial=0.0)))
     return DistanceBounds(upper=upper, lower=min(lower, upper))

@@ -16,7 +16,7 @@ accept, 3 on a reject at the first sample and fewer than 6i at sample i.
 
 Randomness comes from numpy's PCG64 generator (``numpy.random.default_rng``),
 which is seedable and deterministic across platforms; reports should carry
-:data:`RNG_ALGORITHM` alongside the seed.
+:data:`bttest.tournament.RNG_ALGORITHM` alongside the seed.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ import numpy as np
 from .balance import Triangle, log_triangle_ratio
 from .errors import ParameterOutOfRangeError, TooFewVerticesError
 from .tournament import TAU, StochasticTournament
-
-#: Identifier of the generator behind every seeded operation.
-RNG_ALGORITHM = "numpy-pcg64"
 
 _FY_LOWS = np.arange(3)
 
@@ -152,9 +149,10 @@ def test_bt(t: StochasticTournament, cfg: TesterConfig) -> TestVerdict:
 
 
 def estimate_unbalanced_fraction(
-    t: StochasticTournament, samples: int, seed: int, tol: float = TAU
+    t: StochasticTournament, samples: int, seed: int
 ) -> float:
-    """Fraction of ``samples`` uniform triangles that are unbalanced.
+    """Fraction of ``samples`` uniform triangles that are unbalanced
+    (beyond ``TAU`` on |log lambda|).
 
     Unbiased estimator of |B| / C(n, 3) where B is the set of unbalanced
     triangles; purely diagnostic.
@@ -164,5 +162,5 @@ def estimate_unbalanced_fraction(
     if samples < 1:
         raise ParameterOutOfRangeError(f"samples must be >= 1, got {samples}")
     chunks = _triangles(np.random.default_rng(seed), t.n, samples, _CHUNK)
-    bad = sum(np.count_nonzero(abs(log_triangle_ratio(t, c)) > tol) for c in chunks)
+    bad = sum(np.count_nonzero(abs(log_triangle_ratio(t, c)) > TAU) for c in chunks)
     return bad / samples

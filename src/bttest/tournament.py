@@ -38,10 +38,21 @@ ETA = 1e-12
 #: for "balanced", and on |log(pi_x p_xy / (pi_y p_yx))| for "reversible".
 TAU = 1e-9
 
+#: Identifier of the generator behind every seeded operation.
+RNG_ALGORITHM = "numpy-pcg64"
+
+#: Types a vertex id may have, built once rather than on every check.
+_INTEGER = (int, np.integer)
+
 
 def pair_index(n: int, x, y):
     """Lexicographic position of the unordered pair {x, y}, x < y; elementwise."""
     return x * (2 * n - x - 1) // 2 + (y - x - 1)
+
+
+def _is_vertex(v, n: int) -> bool:
+    """The one rule for a vertex id: an ``int`` or numpy integer in ``[0, n)``."""
+    return isinstance(v, _INTEGER) and 0 <= v < n
 
 
 def logit(w):
@@ -101,12 +112,13 @@ class StochasticTournament:
             raise ParameterOutOfRangeError(
                 f"eta must be in (0, 0.5) with 1 - eta < 1, got {self.eta}"
             )
-        if not np.all(np.isfinite(weights)):
-            raise OutOfRangeProbabilityError("non-finite edge weight")
-        if np.any(weights < self.eta) or np.any(weights > 1.0 - self.eta):
-            bad = int(np.argmax((weights < self.eta) | (weights > 1.0 - self.eta)))
+        outside = ~((self.eta <= weights) & (weights <= 1.0 - self.eta))  # NaN too
+        if outside.any():
+            i = int(np.argmax(outside))
+            lo, hi = np.triu_indices(self.n, k=1)
+            x, y = (lo[i], hi[i]) if low_wins[i] else (hi[i], lo[i])
             raise OutOfRangeProbabilityError(
-                f"weight {weights[bad]} outside [{self.eta}, {1.0 - self.eta}]"
+                f"p={weights[i]} for pair ({x}, {y}) outside [{self.eta}, {1.0 - self.eta}]"
             )
         weights.setflags(write=False)
         low_wins.setflags(write=False)
@@ -116,7 +128,7 @@ class StochasticTournament:
     # -- queries ---------------------------------------------------------
 
     def _check_vertex(self, v: int):
-        if not (isinstance(v, (int, np.integer)) and 0 <= v < self.n):
+        if not _is_vertex(v, self.n):
             raise VertexOutOfRangeError(f"vertex {v!r} is not an integer in [0, {self.n})")
 
     def _stored(self, x: int, y: int) -> tuple[float, bool]:
@@ -199,14 +211,14 @@ class StochasticTournament:
 
 
 def new_tournament(
-    n: int,
-    entries: Iterable[tuple[int, int, float]],
-    eta: float = ETA,
+    n: int, entries: Iterable[tuple[int, int, float]]
 ) -> StochasticTournament:
     """Build a tournament from one ``(x, y, p)`` record per unordered pair.
 
     The record direction fixes the present edge: ``p_xy = p`` and
-    ``p_yx = 1 - p``.  Every unordered pair must appear exactly once.
+    ``p_yx = 1 - p``.  Every unordered pair must appear exactly once, and
+    every ``p`` must lie in ``[ETA, 1 - ETA]``; the weights are checked
+    after the vertices and pairs of every record.
 
     Raises
     ------
@@ -219,13 +231,10 @@ def new_tournament(
     for x, y, p in entries:
         if x == y:
             raise SelfLoopError(f"entry ({x}, {y}) is a self loop")
-        if not (0 <= x < n and 0 <= y < n):
-            raise VertexOutOfRangeError(f"entry ({x}, {y}) outside [0, {n})")
-        if not (eta <= p <= 1.0 - eta):
-            raise OutOfRangeProbabilityError(
-                f"p={p} for pair ({x}, {y}) outside [{eta}, {1.0 - eta}]"
-            )
-        i = pair_index(n, min(x, y), max(x, y))
+        if not (_is_vertex(x, n) and _is_vertex(y, n)):
+            raise VertexOutOfRangeError(f"entry ({x}, {y}) is not in [0, {n})")
+        lo, hi = (x, y) if x < y else (y, x)
+        i = pair_index(n, lo, hi)
         if weights[i] is not None:
             raise DuplicatePairError(f"pair {{{x}, {y}}} given twice")
         weights[i] = p
@@ -235,7 +244,7 @@ def new_tournament(
         i = weights.index(None)
         lo, hi = np.triu_indices(n, k=1)
         raise MissingPairError(f"no weight for pair {{{lo[i]}, {hi[i]}}}")
-    return StochasticTournament(n, weights, low_wins, eta)
+    return StochasticTournament(n, weights, low_wins)
 
 
 def markov_matrix(t: StochasticTournament) -> np.ndarray:
@@ -256,21 +265,19 @@ def _potential_residual(ell: np.ndarray, pot: np.ndarray) -> np.ndarray:
 
 
 def check_reversible(
-    t: StochasticTournament,
-    pi: Sequence[float] | np.ndarray,
-    eps: float = 0.0,
-    tol: float = TAU,
+    t: StochasticTournament, pi: Sequence[float] | np.ndarray, eps: float = 0.0
 ) -> bool:
     """Detailed-balance check of ``pi`` against the tournament.
 
-    Tests ``|D| <= tol`` at ``eps == 0``, else ``|D| <= log1p(eps)``, where
+    Tests ``|D| <= TAU`` at ``eps == 0``, else ``|D| <= log1p(eps)``, where
     ``D = log(pi_x p_xy / (pi_y p_yx))`` is read off the log-odds matrix and
     ``log(pi)`` (so ``pi`` need not be normalised).  With ``eps > 0`` this is
 
         (1 + eps)^-1  <=  pi_x p_xy / (pi_y p_yx)  <=  1 + eps
 
-    for all ordered pairs.  Detailed balance over the Markov matrix and over
-    the probability matrix coincide because ``q_xy = p_xy / n``.
+    for all ordered pairs, so ``eps = expm1(b)`` sets any bound ``b`` on
+    ``|D|``.  Detailed balance over the Markov matrix and over the
+    probability matrix coincide because ``q_xy = p_xy / n``.
     """
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (t.n,):
@@ -282,18 +289,18 @@ def check_reversible(
     # pi / max first: at pi ~ 1e-300, log(pi) ~ -690 has an ulp of 1e-13
     with np.errstate(divide="ignore", invalid="ignore"):  # a spread past 1e323 gives 0
         residual = _potential_residual(t.log_odds_matrix(), np.log(pi / pi.max()))
-    return bool(np.all(np.abs(residual) <= (tol if eps == 0.0 else np.log1p(eps))))
+    return bool(np.all(np.abs(residual) <= (TAU if eps == 0.0 else np.log1p(eps))))
 
 
 # -- generators ----------------------------------------------------------
 
 
-def gen_bt(scores: Sequence[float] | np.ndarray, eta: float = ETA) -> StochasticTournament:
+def gen_bt(scores: Sequence[float] | np.ndarray) -> StochasticTournament:
     """Tournament of an exact Bradley-Terry model: p_xy = a(x) / (a(x) + a(y)).
 
     Every triangle of the output is balanced.  Raises
     OutOfRangeProbabilityError if a score ratio pushes a probability outside
-    ``[eta, 1 - eta]``.
+    ``[ETA, 1 - ETA]``.
     """
     a = np.asarray(scores, dtype=float)
     if a.ndim != 1 or a.size < 2:
@@ -307,7 +314,7 @@ def gen_bt(scores: Sequence[float] | np.ndarray, eta: float = ETA) -> Stochastic
     for x in range(n - 1):
         weights[i : i + n - 1 - x] = a[x] / (a[x] + a[x + 1 :])
         i += n - 1 - x
-    return StochasticTournament(n, weights, np.ones(m, dtype=bool), eta)
+    return StochasticTournament(n, weights, np.ones(m, dtype=bool))
 
 
 def gen_cyclic(n: int, p: float, eta: float = ETA) -> StochasticTournament:
@@ -315,8 +322,6 @@ def gen_cyclic(n: int, p: float, eta: float = ETA) -> StochasticTournament:
     probability ``p``; all other pairs are fair coins."""
     if n < 2:
         raise VertexOutOfRangeError(f"need at least 2 vertices, got n={n}")
-    if not (eta <= p <= 1.0 - eta):
-        raise OutOfRangeProbabilityError(f"p={p} outside [{eta}, {1.0 - eta}]")
     m = n * (n - 1) // 2
     weights = np.full(m, 0.5)
     low_wins = np.ones(m, dtype=bool)
@@ -341,15 +346,13 @@ def gen_perturbed(
     return StochasticTournament(base.n, weights, base.low_wins, base.eta)
 
 
-def gen_random(n: int, seed: int, eta: float = ETA) -> StochasticTournament:
-    """Every present-edge weight drawn uniformly from [eta, 1 - eta];
+def gen_random(n: int, seed: int) -> StochasticTournament:
+    """Every present-edge weight drawn uniformly from [ETA, 1 - ETA];
     edges oriented low id -> high id.  Pure function of (n, seed)."""
-    if n < 2:
-        raise VertexOutOfRangeError(f"need at least 2 vertices, got n={n}")
     m = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(eta, 1.0 - eta, size=m)
-    return StochasticTournament(n, weights, np.ones(m, dtype=bool), eta)
+    weights = rng.uniform(ETA, 1.0 - ETA, size=m)
+    return StochasticTournament(n, weights, np.ones(m, dtype=bool))
 
 
 def set_prob(
@@ -361,12 +364,7 @@ def set_prob(
     so ``prob(x, y)`` returns ``p`` bit-for-bit (storing the complement
     instead could lose ulps near the floor).
     """
-    t._check_vertex(x)
-    t._check_vertex(y)
-    if x == y:
-        raise SelfLoopError(f"cannot set p_xx (x = {x})")
-    if not (t.eta <= p <= 1.0 - t.eta):
-        raise OutOfRangeProbabilityError(f"p={p} outside [{t.eta}, {1.0 - t.eta}]")
+    t._stored(x, y)  # raises on a bad vertex or a self loop
     i = pair_index(t.n, min(x, y), max(x, y))
     weights = t.weights.copy()
     low_wins = t.low_wins.copy()

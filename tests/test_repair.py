@@ -344,13 +344,19 @@ class TestExtendTree:
         # complement would keep about ulp / w of w's digits
         for w in (1e-12, 2e-12, 1e-9):
             tw = bt.TreeWeights(3, ((1, 0, 0.5), (2, 0, w)))
-            with warnings.catch_warnings():
-                # at w = eta the chord rounds a few ulp below eta and is clamped
-                warnings.simplefilter("ignore", bt.ClampWarning)
-                t = bt.extend_tree(tw)
+            t = bt.extend_tree(tw)
             assert list(t.edges())[2] == (2, 1, t.weights[2])
             assert t.weights[2] <= 0.5
             assert bt.check_fundamental_cycles(t, [(1, 0), (2, 0)])
+
+    def test_chord_at_eta_does_not_warn(self):
+        # the chord's exact weight is eta; it rounds 4 ulp below and is
+        # raised back to eta, which is no clamp worth a warning
+        tw = bt.TreeWeights(3, ((1, 0, 0.5), (2, 0, 1e-12)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", bt.ClampWarning)
+            t = bt.extend_tree(tw)
+        assert t.prob(2, 1) == bt.ETA
 
     def test_chord_clamping_warns(self):
         tw = bt.TreeWeights(3, ((0, 1, 0.8), (1, 2, 0.8)))

@@ -45,6 +45,17 @@ class TestNewTournament:
         with pytest.raises(bt.OutOfRangeProbabilityError):
             bt.new_tournament(2, [(0, 1, 1.5)])
 
+    def test_structural_fault_reported_before_weight(self):
+        # the weights are checked together once every record is placed
+        with pytest.raises(bt.DuplicatePairError):
+            bt.new_tournament(2, [(0, 1, 1.5), (1, 0, 0.4)])
+
+    def test_weight_error_names_the_pair_as_stored(self):
+        with pytest.raises(bt.OutOfRangeProbabilityError, match=r"pair \(2, 0\)"):
+            bt.new_tournament(3, [(0, 1, 0.5), (2, 0, 0.0), (1, 2, 0.5)])
+        with pytest.raises(bt.OutOfRangeProbabilityError, match=r"pair \(2, 0\)"):
+            bt.StochasticTournament(3, [0.5, np.nan, 0.5], [True, False, True])
+
     def test_orientation_taken_from_entry(self):
         t = bt.new_tournament(2, [(1, 0, 0.9)])
         assert list(t.edges()) == [(1, 0, 0.9)]
@@ -87,9 +98,21 @@ class TestProb:
         lambda t: bt.set_prob(t, 0.5, 2, 0.3),
         lambda t: bt.repair_with_root(t, 1.5),
         lambda t: bt.scores_from_root(t, 1.5),
-    ], ids=["prob", "log_odds", "set_prob", "repair_with_root", "scores_from_root"])
+        lambda t: bt.new_tournament(2, [(0.5, 1, 0.3)]),
+    ], ids=["prob", "log_odds", "set_prob", "repair_with_root", "scores_from_root",
+            "new_tournament"])
     def test_non_integer_vertex(self, cyclic3, read):
         with pytest.raises(bt.VertexOutOfRangeError):
+            read(cyclic3)
+
+    @pytest.mark.parametrize("read", [
+        lambda t: bt.TreeWeights(3, ((0.5, 1, 0.3), (1, 2, 0.4))),
+        lambda t: bt.check_fundamental_cycles(t, [(0.5, 1), (1, 2)]),
+        lambda t: list(bt.fundamental_cycles(3, [(0.5, 1), (1, 2)])),
+    ], ids=["TreeWeights", "check_fundamental_cycles", "fundamental_cycles"])
+    def test_non_integer_tree_vertex(self, cyclic3, read):
+        # TreeWeights must refuse 0.5 rather than truncate it to vertex 0
+        with pytest.raises(bt.NotASpanningTreeError):
             read(cyclic3)
 
     def test_immutable(self, cyclic3):
