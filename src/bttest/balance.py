@@ -321,12 +321,16 @@ def fundamental_cycles(
     """Fundamental cycle of every chord of the tree, chords in
     pair-lexicographic order.  Each cycle runs chord u -> v, then back
     along the tree path from v to u."""
-    parent, depth = _tree_structure(n, tree_edges)
-    for u, v in combinations(range(n), 2):
-        if parent[u] == v or parent[v] == u:
-            continue  # a tree edge
-        path = _tree_path(parent, depth, v, u)  # v .. u through the tree
-        yield DirectedCycle((u, *path[:-1]))
+    parent, depth = _tree_structure(n, tree_edges)  # raises here, not at next()
+
+    def cycles():
+        for u, v in combinations(range(n), 2):
+            if parent[u] == v or parent[v] == u:
+                continue  # a tree edge
+            path = _tree_path(parent, depth, v, u)  # v .. u through the tree
+            yield DirectedCycle((u, *path[:-1]))
+
+    return cycles()
 
 
 def check_fundamental_cycles(

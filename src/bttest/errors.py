@@ -27,7 +27,8 @@ class MissingPairError(TournamentError):
 
 
 class OutOfRangeProbabilityError(TournamentError):
-    """A probability lies outside the allowed [eta, 1 - eta] band."""
+    """A probability is not a real number or lies outside the allowed
+    [eta, 1 - eta] band."""
 
 
 class DimensionMismatchError(TournamentError):

@@ -16,6 +16,7 @@ finite, so weights of exactly 0 or 1 are rejected rather than special-cased.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -99,24 +100,37 @@ class StochasticTournament:
         if self.n < 2:
             raise VertexOutOfRangeError(f"need at least 2 vertices, got n={self.n}")
         m = self.n * (self.n - 1) // 2
-        # private copies: freezing a caller's array in place would be rude
-        weights = np.array(self.weights, dtype=float)
+        given = np.asarray(self.weights)
+        # private copy: freezing a caller's array in place would be rude
         low_wins = np.array(self.low_wins, dtype=bool)
-        if weights.shape != (m,) or low_wins.shape != (m,):
+        if given.shape != (m,) or low_wins.shape != (m,):
             raise DimensionMismatchError(
                 f"expected {m} pair entries for n={self.n}, "
-                f"got {weights.shape} / {low_wins.shape}"
+                f"got {given.shape} / {low_wins.shape}"
             )
         # a tiny eta makes 1 - eta round to 1.0, which would admit a weight of 1
         if not (0.0 < self.eta < 0.5) or 1.0 - self.eta == 1.0:
             raise ParameterOutOfRangeError(
                 f"eta must be in (0, 0.5) with 1 - eta < 1, got {self.eta}"
             )
+
+        def pair(i):  # the pair of entry i, as stored
+            lo, hi = np.triu_indices(self.n, k=1)
+            return (lo[i], hi[i]) if low_wins[i] else (hi[i], lo[i])
+
+        if given.dtype.kind not in "biuf":
+            # the caller's entries, not numpy's coercion: [0.5, "x"] is all strings
+            for i, w in enumerate(self.weights):
+                if not isinstance(w, numbers.Real):
+                    x, y = pair(i)
+                    raise OutOfRangeProbabilityError(
+                        f"p={w!r} for pair ({x}, {y}) is not a real number"
+                    )
+        weights = np.array(given, dtype=float)
         outside = ~((self.eta <= weights) & (weights <= 1.0 - self.eta))  # NaN too
         if outside.any():
             i = int(np.argmax(outside))
-            lo, hi = np.triu_indices(self.n, k=1)
-            x, y = (lo[i], hi[i]) if low_wins[i] else (hi[i], lo[i])
+            x, y = pair(i)
             raise OutOfRangeProbabilityError(
                 f"p={weights[i]} for pair ({x}, {y}) outside [{self.eta}, {1.0 - self.eta}]"
             )
@@ -210,6 +224,38 @@ class StochasticTournament:
         return hash((self.n, self.weights.tobytes(), self.low_wins.tobytes()))
 
 
+def _column(values: list, kinds: str) -> np.ndarray:
+    """``values`` as the 1-D array numpy infers when its dtype kind is one of
+    ``kinds``, else as an object array that holds the caller's values."""
+    try:
+        col = np.asarray(values)
+    except ValueError:  # ragged
+        col = None
+    if col is None or col.ndim != 1 or col.dtype.kind not in kinds:
+        col = np.fromiter(values, object, len(values))
+    return col
+
+
+def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x``, ``y`` and ``p`` columns of the records: the three fields of a
+    record array as they are; for any other iterable of ``(x, y, p)``, integer
+    vertex and real weight columns where numpy infers them, object arrays of
+    the caller's values otherwise."""
+    if isinstance(entries, np.ndarray) and entries.dtype.names:
+        x, y, p = (entries[f] for f in entries.dtype.names)
+        return x, y, p
+    rows = [(x, y, p) for x, y, p in entries]
+    x, y, p = ([r[j] for r in rows] for j in range(3))
+    return _column(x, "iu"), _column(y, "iu"), _column(p, "iuf")
+
+
+def _vertices(v: np.ndarray, n: int) -> np.ndarray:
+    """:func:`_is_vertex` of every entry of a column."""
+    if v.dtype.kind in "iu":
+        return (0 <= v) & (v < n)
+    return np.fromiter((_is_vertex(a, n) for a in v), bool, len(v))
+
+
 def new_tournament(
     n: int, entries: Iterable[tuple[int, int, float]]
 ) -> StochasticTournament:
@@ -217,34 +263,48 @@ def new_tournament(
 
     The record direction fixes the present edge: ``p_xy = p`` and
     ``p_yx = 1 - p``.  Every unordered pair must appear exactly once, and
-    every ``p`` must lie in ``[ETA, 1 - ETA]``; the weights are checked
-    after the vertices and pairs of every record.
+    every ``p`` must be a real number in ``[ETA, 1 - ETA]``.  The records
+    are checked as arrays: the first record, in record order, that is a
+    self loop, names a vertex outside ``[0, n)`` or repeats an earlier
+    pair raises (in that order within a record); then the first missing
+    pair in lexicographic order; then the weights.  ``entries`` may be a
+    record array with three fields, as the file reader builds.
 
     Raises
     ------
     SelfLoopError, VertexOutOfRangeError, DuplicatePairError,
     MissingPairError, OutOfRangeProbabilityError
     """
-    m = n * (n - 1) // 2
-    weights: list = [None] * m  # None: pair not seen yet
-    low_wins = [False] * m
-    for x, y, p in entries:
-        if x == y:
-            raise SelfLoopError(f"entry ({x}, {y}) is a self loop")
-        if not (_is_vertex(x, n) and _is_vertex(y, n)):
-            raise VertexOutOfRangeError(f"entry ({x}, {y}) is not in [0, {n})")
-        lo, hi = (x, y) if x < y else (y, x)
-        i = pair_index(n, lo, hi)
-        if weights[i] is not None:
-            raise DuplicatePairError(f"pair {{{x}, {y}}} given twice")
-        weights[i] = p
-        low_wins[i] = x < y
+    x, y, p = _entry_columns(entries)
+    loop = x == y
+    vertex = _vertices(x, n) & _vertices(y, n)
+    rows = np.flatnonzero(~loop & vertex)
+    xs, ys = x[rows].astype(np.int64), y[rows].astype(np.int64)
+    lo, hi = np.minimum(xs, ys), np.maximum(xs, ys)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    # a stable sort keeps each pair's first record ahead of its repeats
+    repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    fault = loop | ~vertex
+    fault[rows[order[1:][repeat]]] = True
+    if fault.any():
+        i = int(np.argmax(fault))
+        if loop[i]:
+            raise SelfLoopError(f"entry ({x[i]}, {y[i]}) is a self loop")
+        if not vertex[i]:
+            raise VertexOutOfRangeError(f"entry ({x[i]}, {y[i]}) is not in [0, {n})")
+        raise DuplicatePairError(f"pair {{{x[i]}, {y[i]}}} given twice")
     # below 2 vertices StochasticTournament raises the vertex-count error
-    if n >= 2 and None in weights:
-        i = weights.index(None)
-        lo, hi = np.triu_indices(n, k=1)
-        raise MissingPairError(f"no weight for pair {{{lo[i]}, {hi[i]}}}")
-    return StochasticTournament(n, weights, low_wins)
+    if n >= 2 and rows.size < n * (n - 1) // 2:
+        # pairs present are distinct and sorted: the first missing one is
+        # the successor of the last pair where the run (0, 1), (0, 2), ... breaks
+        wrap = hi + 1 == n
+        want_lo = np.concatenate(([0], np.where(wrap, lo + 1, lo)))
+        want_hi = np.concatenate(([1], np.where(wrap, lo + 2, hi + 1)))
+        gap = np.flatnonzero((want_lo[:-1] != lo) | (want_hi[:-1] != hi))
+        j = gap[0] if gap.size else rows.size
+        raise MissingPairError(f"no weight for pair {{{want_lo[j]}, {want_hi[j]}}}")
+    return StochasticTournament(n, p[order], xs[order] < ys[order])
 
 
 def markov_matrix(t: StochasticTournament) -> np.ndarray:

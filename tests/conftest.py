@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import bttest as bt
+from bttest.errors import ParseError
+from bttest.tournament import pair_index
 
 
 @pytest.fixture
@@ -145,3 +147,92 @@ def perturbed_bt_instance(n, eps, rng):
             odds = (scores[x] / scores[y]) * rho
             entries.append((x, y, odds / (1.0 + odds)))
     return bt.new_tournament(n, entries), scores
+
+
+def reference_read(text, tag):
+    """(n, labels, records) of a file, validated and decoded line by line:
+    the reader as it was before the columnar body decode."""
+    value_name = {"bt-tournament v1": ("p", "probability"), "bt-tree v1": ("w", "weight")}
+    lines = text.splitlines()
+    n = None
+    labels = None
+    body = []
+    saw_tag = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not saw_tag:
+            if line != tag:
+                raise ParseError(lineno, f"expected header {tag!r}, got {line!r}")
+            saw_tag = True
+            continue
+        if line.startswith("n="):
+            if n is not None:
+                raise ParseError(lineno, "duplicate n= line")
+            try:
+                n = int(line[2:])
+            except ValueError:
+                raise ParseError(lineno, f"bad vertex count {line[2:]!r}") from None
+            continue
+        if line.startswith("labels="):
+            if labels is not None:
+                raise ParseError(lineno, "duplicate labels= line")
+            labels = tuple(s.strip(" \t") for s in line[len("labels="):].split(","))
+            if any(s.split() != [s] for s in labels):
+                raise ParseError(lineno, "labels must be nonempty, no whitespace")
+            if len(set(labels)) != len(labels):
+                raise ParseError(lineno, "labels are not unique")
+            continue
+        if n is None:
+            raise ParseError(lineno, "body record before n= line")
+        body.append((lineno, line))
+    if n is None:
+        raise ParseError(len(lines) or 1, "missing n= line")
+    if labels is not None and len(labels) != n:
+        raise ParseError(1, f"{len(labels)} labels for n={n} vertices")
+    letter, word = value_name[tag]
+    label_ids = {s: i for i, s in enumerate(labels or ())}
+    records = []
+    for lineno, line in body:
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise ParseError(lineno, f"expected 'x y {letter}', got {' '.join(tokens)!r}")
+        ids = []
+        for token in tokens[:2]:
+            try:
+                ids.append(int(token))
+            except ValueError:
+                if token not in label_ids:
+                    raise ParseError(lineno, f"unknown vertex {token!r}") from None
+                ids.append(label_ids[token])
+        try:
+            value = float(tokens[2])
+        except ValueError:
+            raise ParseError(lineno, f"bad {word} {tokens[2]!r}") from None
+        records.append((ids[0], ids[1], value))
+    return n, labels, records
+
+
+def reference_new_tournament(n, entries):
+    """``new_tournament`` one record at a time, with ``None`` marking a
+    pair not seen yet."""
+    m = n * (n - 1) // 2
+    weights = [None] * m
+    low_wins = [False] * m
+    for x, y, p in entries:
+        if x == y:
+            raise bt.SelfLoopError(f"entry ({x}, {y}) is a self loop")
+        if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in (x, y)):
+            raise bt.VertexOutOfRangeError(f"entry ({x}, {y}) is not in [0, {n})")
+        lo, hi = (x, y) if x < y else (y, x)
+        i = pair_index(n, lo, hi)
+        if weights[i] is not None:
+            raise bt.DuplicatePairError(f"pair {{{x}, {y}}} given twice")
+        weights[i] = p
+        low_wins[i] = x < y
+    if n >= 2 and None in weights:
+        i = weights.index(None)
+        lo, hi = np.triu_indices(n, k=1)
+        raise bt.MissingPairError(f"no weight for pair {{{lo[i]}, {hi[i]}}}")
+    return bt.StochasticTournament(n, weights, low_wins)

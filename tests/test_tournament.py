@@ -56,6 +56,19 @@ class TestNewTournament:
         with pytest.raises(bt.OutOfRangeProbabilityError, match=r"pair \(2, 0\)"):
             bt.StochasticTournament(3, [0.5, np.nan, 0.5], [True, False, True])
 
+    @pytest.mark.parametrize("p", ["0.5", "x", None, 0.5j, [0.5]])
+    def test_non_real_weight_names_the_pair(self, p):
+        with pytest.raises(bt.OutOfRangeProbabilityError,
+                           match=r"for pair \(2, 0\) is not a real number"):
+            bt.new_tournament(3, [(0, 1, 0.5), (2, 0, p), (1, 2, 0.5)])
+
+    def test_first_missing_pair_in_lexicographic_order(self):
+        entries = [(3, 2, 0.5), (0, 1, 0.5), (0, 2, 0.5), (1, 2, 0.5), (0, 3, 0.5)]
+        with pytest.raises(bt.MissingPairError, match=r"\{1, 3\}"):
+            bt.new_tournament(4, entries)
+        with pytest.raises(bt.MissingPairError, match=r"\{0, 1\}"):
+            bt.new_tournament(4, [])
+
     def test_orientation_taken_from_entry(self):
         t = bt.new_tournament(2, [(1, 0, 0.9)])
         assert list(t.edges()) == [(1, 0, 0.9)]
@@ -108,7 +121,7 @@ class TestProb:
     @pytest.mark.parametrize("read", [
         lambda t: bt.TreeWeights(3, ((0.5, 1, 0.3), (1, 2, 0.4))),
         lambda t: bt.check_fundamental_cycles(t, [(0.5, 1), (1, 2)]),
-        lambda t: list(bt.fundamental_cycles(3, [(0.5, 1), (1, 2)])),
+        lambda t: bt.fundamental_cycles(3, [(0.5, 1), (1, 2)]),  # at the call
     ], ids=["TreeWeights", "check_fundamental_cycles", "fundamental_cycles"])
     def test_non_integer_tree_vertex(self, cyclic3, read):
         # TreeWeights must refuse 0.5 rather than truncate it to vertex 0
