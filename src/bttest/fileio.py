@@ -30,7 +30,8 @@ lines aside.  Anything it refuses (labels, comment or key
 lines inside the body, non-ASCII text, tokens only Python reads such as
 ``1_0`` or ``١``, ids beyond int64, a wrong token count) sends the whole
 body through the per-record decoder, which also gives every line-numbered
-``ParseError``.  Both paths give the same tournament bit for bit.  In a
+``ParseError``.  Both paths give the same tournament bit for bit; a
+refused body also pays for the refused ``np.loadtxt`` call.  In a
 traced ``dense`` benchmark run (seed 7, 2-core host) the parse's own time
 fell from 2708 to 656 ns per pair.
 
@@ -40,6 +41,7 @@ Tree files are the same with the ``bt-tree v1`` tag and n-1 records.
 from __future__ import annotations
 
 import json
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -70,16 +72,21 @@ _VALUE = {TOURNAMENT_TAG: ("p", "probability"), TREE_TAG: ("w", "weight")}
 #: One body record as ``np.loadtxt`` decodes it.
 _RECORD = np.dtype([("x", np.int64), ("y", np.int64), ("value", np.float64)])
 
+#: ``warnings.catch_warnings`` saves and restores the process-wide filter
+#: list; parses in two threads must not interleave those steps, or one of
+#: them restores a list that keeps the other's "error" filter for good.
+_WARNINGS_LOCK = threading.Lock()
+
 
 def _columns(lines: list[str]) -> np.ndarray | None:
     """The body lines as one ``(x, y, value)`` record array, or None where
     ``np.loadtxt`` refuses them: any conversion or column-count error, and
-    any warning (no data; an integer column holding ``1.0``).  Non-ASCII
-    lines are refused up front, since loadtxt reads some letters as digits
-    (``"1\u01fe"`` as the integer 472)."""
+    any warning (an integer column holding ``1.0``; no data, where no line
+    holds a record).  Non-ASCII lines are refused up front, since loadtxt
+    reads some letters as digits (``"1\u01fe"`` as the integer 472)."""
     if not "".join(lines).isascii():
         return None
-    with warnings.catch_warnings():
+    with _WARNINGS_LOCK, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             return np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1)

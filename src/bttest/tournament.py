@@ -56,6 +56,14 @@ def _is_vertex(v, n: int) -> bool:
     return isinstance(v, _INTEGER) and 0 <= v < n
 
 
+def _non_real(kind: type) -> bool:
+    """A weight type that is text, None or complex, which numpy would parse,
+    refuse with a raw error or truncate; a weight of any other type is read
+    with ``float`` as given."""
+    return kind is type(None) or issubclass(kind, (str, bytes)) or (
+        issubclass(kind, numbers.Complex) and not issubclass(kind, numbers.Real))
+
+
 def logit(w):
     """Log-odds ``log(w / (1 - w))`` of a weight; scalars and arrays go
     through the same ``np.log``, so both give the same bits."""
@@ -120,12 +128,14 @@ class StochasticTournament:
 
         if given.dtype.kind not in "biuf":
             # the caller's entries, not numpy's coercion: [0.5, "x"] is all strings
-            for i, w in enumerate(self.weights):
-                if not isinstance(w, numbers.Real):
-                    x, y = pair(i)
-                    raise OutOfRangeProbabilityError(
-                        f"p={w!r} for pair ({x}, {y}) is not a real number"
-                    )
+            kinds = [type(w) for w in self.weights]
+            bad = {k for k in set(kinds) if _non_real(k)}  # one check per type
+            if bad:
+                i = next(i for i, k in enumerate(kinds) if k in bad)
+                x, y = pair(i)
+                raise OutOfRangeProbabilityError(
+                    f"p={self.weights[i]!r} for pair ({x}, {y}) is not a real number"
+                )
         weights = np.array(given, dtype=float)
         outside = ~((self.eta <= weights) & (weights <= 1.0 - self.eta))  # NaN too
         if outside.any():
@@ -224,29 +234,16 @@ class StochasticTournament:
         return hash((self.n, self.weights.tobytes(), self.low_wins.tobytes()))
 
 
-def _column(values: list, kinds: str) -> np.ndarray:
-    """``values`` as the 1-D array numpy infers when its dtype kind is one of
-    ``kinds``, else as an object array that holds the caller's values."""
-    try:
-        col = np.asarray(values)
-    except ValueError:  # ragged
-        col = None
-    if col is None or col.ndim != 1 or col.dtype.kind not in kinds:
-        col = np.fromiter(values, object, len(values))
-    return col
-
-
 def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``x``, ``y`` and ``p`` columns of the records: the three fields of a
-    record array as they are; for any other iterable of ``(x, y, p)``, integer
-    vertex and real weight columns where numpy infers them, object arrays of
-    the caller's values otherwise."""
+    record array as they are; for any other iterable of ``(x, y, p)``,
+    object arrays that hold the caller's values."""
     if isinstance(entries, np.ndarray) and entries.dtype.names:
         x, y, p = (entries[f] for f in entries.dtype.names)
         return x, y, p
     rows = [(x, y, p) for x, y, p in entries]
-    x, y, p = ([r[j] for r in rows] for j in range(3))
-    return _column(x, "iu"), _column(y, "iu"), _column(p, "iuf")
+    x, y, p = (np.fromiter((r[j] for r in rows), object, len(rows)) for j in range(3))
+    return x, y, p
 
 
 def _vertices(v: np.ndarray, n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ valid or not, must come out as the reference reader plus the reference
 bit, or the same error class, message and line.
 """
 
+import threading
 import warnings
 
 import numpy as np
@@ -120,8 +121,10 @@ def test_reader_agrees_with_the_record_by_record_reference(case):
     assert outcome(lambda: parse(text)) == outcome(lambda: reference(tag, text))
 
 
-#: A vertex id as a caller may pass one: mostly in range, sometimes not an int.
-vertex = st.one_of(st.integers(-1, 5), st.sampled_from([0.5, 1.0, 2**63, 2**70, np.int64(1)]))
+#: A vertex id as a caller may pass one: mostly in range, sometimes not an
+#: int, or a bool, which an error message must print as given.
+vertex = st.one_of(st.integers(-1, 5), st.sampled_from(
+    [0.5, 1.0, 2**63, 2**70, np.int64(1), True, False]))
 
 
 @st.composite
@@ -184,6 +187,38 @@ class TestNoWarningLeaks:
             warnings.simplefilter("always")
             assert fileio._columns(lines) is None
         assert caught == []
+
+
+def test_overlapping_parses_leave_the_warning_filters_as_they_were(monkeypatch):
+    # parse A holds the warning filters while parse B starts; unguarded, B
+    # would save A's "error" filter, then put it back after A restored them
+    loadtxt = np.loadtxt
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+    def slow_loadtxt(*args, **kwargs):
+        if not a_in.is_set():
+            a_in.set()
+            b_in.wait(0.5)  # B gets this far only if nothing holds it back
+        else:
+            b_in.set()
+            a_out.wait(5)
+        return loadtxt(*args, **kwargs)
+
+    def parse_a():
+        bt.parse_tournament(text)
+        a_out.set()
+
+    monkeypatch.setattr(np, "loadtxt", slow_loadtxt)
+    text = bt.serialize_tournament(bt.gen_random(4, 0))
+    before = list(warnings.filters)
+    a = threading.Thread(target=parse_a)
+    a.start()
+    a_in.wait(5)
+    b = threading.Thread(target=bt.parse_tournament, args=(text,))
+    b.start()
+    a.join()
+    b.join()
+    assert warnings.filters == before
 
 
 class TestPaths:

@@ -1,6 +1,8 @@
 """Tournament construction, queries, Markov chains, generators."""
 
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -56,11 +58,21 @@ class TestNewTournament:
         with pytest.raises(bt.OutOfRangeProbabilityError, match=r"pair \(2, 0\)"):
             bt.StochasticTournament(3, [0.5, np.nan, 0.5], [True, False, True])
 
-    @pytest.mark.parametrize("p", ["0.5", "x", None, 0.5j, [0.5]])
+    @pytest.mark.parametrize("p", ["0.5", "x", b"0.5", None, 0.5j, np.complex128(0.5)])
     def test_non_real_weight_names_the_pair(self, p):
         with pytest.raises(bt.OutOfRangeProbabilityError,
                            match=r"for pair \(2, 0\) is not a real number"):
             bt.new_tournament(3, [(0, 1, 0.5), (2, 0, p), (1, 2, 0.5)])
+
+    @pytest.mark.parametrize("p", [Decimal("0.5"), Fraction(1, 2), np.float32(0.5),
+                                   np.array(0.5)])
+    def test_other_numbers_are_read_as_floats(self, p):
+        t = bt.new_tournament(3, [(0, 1, 0.5), (2, 0, p), (1, 2, 0.5)])
+        assert t.weights.tolist() == [0.5, 0.5, 0.5]
+
+    def test_record_list_errors_print_the_callers_values(self):
+        with pytest.raises(bt.SelfLoopError, match=r"entry \(True, True\)"):
+            bt.new_tournament(3, [(True, True, 0.5), (0, 2, 0.5)])
 
     def test_first_missing_pair_in_lexicographic_order(self):
         entries = [(3, 2, 0.5), (0, 1, 0.5), (0, 2, 0.5), (1, 2, 0.5), (0, 3, 0.5)]
