@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -32,7 +32,13 @@ from .errors import (
     ParameterOutOfRangeError,
     SelfLoopError,
 )
-from .tournament import TAU, StochasticTournament, _is_vertex, _potential_residual
+from .tournament import (
+    TAU,
+    StochasticTournament,
+    _is_vertex,
+    _potential_residual,
+    _real,
+)
 
 
 @dataclass(frozen=True)
@@ -134,31 +140,20 @@ def discrepancy(t: StochasticTournament, tri: Triangle) -> Discrepancy:
     """Single-edge repair amounts of the triangle (canonical orientation).
 
     alpha = p_xy - p_zy p_xz / (p_zy p_xz + p_yz p_zx), and cyclically for
-    beta (edge yz) and gamma (edge zx).  Subtracting a component from its
-    edge rebalances the triangle exactly; ``value`` is in [0, 1] and is 0
-    (within tolerance) iff the triangle is balanced.
+    beta (edge yz) and gamma (edge zx), from exactly 3 edge queries.  Each
+    component alone, subtracted from its edge, rebalances the triangle;
+    ``value`` is in [0, 1] and is 0 (within tolerance) iff it is balanced.
     """
-    p = {(u, v): t.prob(u, v) for u, v in permutations(tri.vertices(), 2)}
-    return Discrepancy(*_disc_components(p, *tri.vertices()))
+    v = np.array(tri.vertices())
+    return Discrepancy(*_disc_components(t.log_odds(v, v[[1, 2, 0]])).tolist())
 
 
-def _balancing_weight(p_xz, p_zy, p_zx, p_yz):
-    """``p_xy`` that alone balances the triangle {x, y, z}; elementwise.
-    Callers read each edge in both directions, not as ``1 - p``: for a weight
-    w near 0 stored as its complement, ``1 - (1 - w)`` keeps few digits of w."""
-    via = p_xz * p_zy
-    return via / (via + p_zx * p_yz)
-
-
-def _disc_components(p, x, y, z):
-    """(alpha, beta, gamma) of triangles x -> y -> z -> x, reading
-    ``p[u, v] = p_uv``; elementwise when x, y, z index a probability matrix."""
-    p_xy, p_yz, p_zx = p[x, y], p[y, z], p[z, x]
-    p_yx, p_zy, p_xz = p[y, x], p[z, y], p[x, z]
-    alpha = p_xy - _balancing_weight(p_xz, p_zy, p_zx, p_yz)
-    beta = p_yz - _balancing_weight(p_yx, p_xz, p_xy, p_zx)
-    gamma = p_zx - _balancing_weight(p_zy, p_yx, p_yz, p_xy)
-    return alpha, beta, gamma
+def _disc_components(e):
+    """Stacked (alpha, beta, gamma) of the triangles with edge log-odds ``e``.
+    With h half the curl, an edge alone balances at log-odds e - 2h, so its
+    weight moves by sigma(e) - sigma(e - 2h) = sinh h / (cosh h + cosh(e - h))."""
+    h = _curl(e) / 2
+    return np.sinh(h) / (np.cosh(h) + np.cosh(e - h))
 
 
 def enumerate_triangles(n: int) -> Iterator[Triangle]:
@@ -175,10 +170,14 @@ def _triangle_slabs(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         yield x, ys + (x + 1), zs + (x + 1)
 
 
-def _curl(ell: np.ndarray, x, y, z):
-    """log lambda of triangles x -> y -> z -> x read off the log-odds
-    matrix; elementwise over index arrays."""
-    return ell[x, y] + ell[y, z] + ell[z, x]
+def _edge_log_odds(ell: np.ndarray, x, y, z) -> np.ndarray:
+    """Stacked edge log-odds ``(L_xy, L_yz, L_zx)`` of triangles x -> y -> z -> x."""
+    return np.stack((ell[x, y], ell[y, z], ell[z, x]))
+
+
+def _curl(e: np.ndarray):
+    """log lambda = L_xy + L_yz + L_zx of the stacked edge log-odds ``e``."""
+    return e[0] + e[1] + e[2]
 
 
 @dataclass(frozen=True)
@@ -192,19 +191,19 @@ class TotalDiscrepancy:
 
 
 def total_discrepancy(t: StochasticTournament) -> TotalDiscrepancy:
-    """Exhaustive O(n^3) discrepancy sums, one slab (every y < z above a
-    fixed x) at a time in O(n^2) working memory.
+    """Exhaustive O(n^3) discrepancy sums over the log-odds matrix, one
+    slab (every y < z above a fixed x) at a time in O(n^2) working memory.
 
-    ``total`` is ``math.fsum`` over the per-slab ``math.fsum`` partials;
+    ``total`` is ``math.fsum`` over the per-slab ``np.sum`` partials;
     ``per_root`` adds each slab into its three vertices with
     ``np.bincount``.  The same input always gives bit-identical sums.
     """
-    p = t.prob_matrix()
+    ell = t.log_odds_matrix()
     partials = []
     per_root = np.zeros(t.n)
     for x, ys, zs in _triangle_slabs(t.n):
-        d = np.abs(_disc_components(p, x, ys, zs)).max(axis=0)
-        partials.append(math.fsum(d.tolist()))
+        d = np.abs(_disc_components(_edge_log_odds(ell, x, ys, zs))).max(axis=0)
+        partials.append(float(np.sum(d)))
         per_root[x] += partials[-1]
         per_root += np.bincount(ys, weights=d, minlength=t.n)
         per_root += np.bincount(zs, weights=d, minlength=t.n)
@@ -248,7 +247,7 @@ class TreeWeights:
     def __post_init__(self):
         edges = tuple(self.edges)
         _tree_structure(self.n, [(u, v) for u, v, _ in edges])  # validates
-        edges = tuple((int(u), int(v), float(w)) for u, v, w in edges)
+        edges = tuple((int(u), int(v), float(_real(w, u, v))) for u, v, w in edges)
         for u, v, w in edges:
             if not 0.0 < w < 1.0:
                 raise OutOfRangeProbabilityError(

@@ -26,7 +26,8 @@ The reader scans the header up to the first body line, then decodes the
 rest of the file as columns in one ``np.loadtxt`` call.  That path takes
 what ``serialize_tournament`` and ``serialize_tree`` write: from the first
 record on, one record per line of ASCII integer ids and a float, blank
-lines aside.  Anything it refuses (labels, comment or key
+lines aside; blank and comment lines after the last record are dropped
+before the call.  Anything it refuses (labels, comment or key
 lines inside the body, non-ASCII text, tokens only Python reads such as
 ``1_0`` or ``١``, ids beyond int64, a wrong token count) sends the whole
 body through the per-record decoder, which also gives every line-numbered
@@ -139,8 +140,12 @@ def _read(source: str | IO[str], tag: str):
         if n is None:
             raise ParseError(lineno, "body record before n= line")
         if not body:
-            # a body loadtxt takes holds no header, comment or label line
-            columns = _columns(lines[lineno - 1:])
+            # a body loadtxt takes holds no header, comment or label line;
+            # trailing blank and comment lines are dropped before it is asked
+            end = len(lines)
+            while lines[end - 1].strip()[:1] in ("", "#"):
+                end -= 1
+            columns = _columns(lines[lineno - 1:end])
             if columns is not None:
                 break
         body.append((lineno, line))

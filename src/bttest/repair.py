@@ -24,9 +24,9 @@ import numpy as np
 
 from .balance import (
     TreeWeights,
-    _balancing_weight,
     _curl,
     _disc_components,
+    _edge_log_odds,
     _tree_potential,
     _triangle_slabs,
     total_discrepancy,
@@ -80,6 +80,13 @@ class RepairReport:
     clamped: tuple[tuple[int, int], ...]
 
 
+def _balancing_weight(p_xz, p_zy, p_zx, p_yz):
+    """``p_xy`` that alone balances the triangle {x, y, z}; elementwise.  Each
+    edge is read in both directions: ``1 - (1 - w)`` keeps few digits of w ~ 0."""
+    via = p_xz * p_zy
+    return via / (via + p_zx * p_yz)
+
+
 def repair_with_root(
     t: StochasticTournament, r: int
 ) -> tuple[StochasticTournament, RepairReport]:
@@ -95,9 +102,9 @@ def repair_with_root(
     """
     t._check_vertex(r)
     u, v = t._oriented()
-    # log lambda of triangle (u, v, r) traversed u -> v -> r -> u
-    hit = np.abs(_curl(t.log_odds_matrix(), u, v, r)) > TAU
-    idx = np.flatnonzero(hit & (u != r) & (v != r))
+    # edge log-odds of triangle (u, v, r) traversed u -> v -> r -> u
+    e = _edge_log_odds(t.log_odds_matrix(), u, v, r)
+    idx = np.flatnonzero((np.abs(_curl(e)) > TAU) & (u != r) & (v != r))
     u, v, old = u[idx], v[idx], t.weights[idx]
     p = t.prob_matrix()
     new = _balancing_weight(p[u, r], p[r, v], p[r, u], p[v, r])
@@ -107,7 +114,7 @@ def repair_with_root(
     new_weights[idx] = new
     repaired = StochasticTournament(t.n, new_weights, t.low_wins, t.eta)
     # every |edit| must stay within the discrepancy of its triangle
-    disc = np.abs(_disc_components(p, u, v, r)).max(axis=0)
+    disc = np.abs(_disc_components(e[:, idx])).max(axis=0)
     change = np.abs(new - old)
     u, v = u.tolist(), v.tolist()
     return repaired, RepairReport(
@@ -224,7 +231,7 @@ def check_seven_eps(
     bound = math.log1p(7.0 * eps)
     ell = t.log_odds_matrix()
     return all(
-        np.all(np.abs(_curl(ell, x, ys, zs)) <= bound)
+        np.all(np.abs(_curl(_edge_log_odds(ell, x, ys, zs))) <= bound)
         for x, ys, zs in _triangle_slabs(t.n)
     )
 
@@ -376,7 +383,7 @@ def l1_distance_oracle(t: StochasticTournament, budget: int = 200) -> DistanceBo
 
     lower = 0.0
     for x, ys, zs in _triangle_slabs(t.n):
-        unbalanced = np.abs(_curl(ell, x, ys, zs)) > TAU
-        fixes = np.abs(_disc_components(p, x, ys, zs)).min(axis=0)
-        lower = max(lower, float(fixes[unbalanced].max(initial=0.0)))
+        e = _edge_log_odds(ell, x, ys, zs)
+        fixes = np.abs(_disc_components(e)).min(axis=0)[np.abs(_curl(e)) > TAU]
+        lower = max(lower, float(fixes.max(initial=0.0)))
     return DistanceBounds(upper=upper, lower=min(lower, upper))

@@ -64,6 +64,16 @@ def _non_real(kind: type) -> bool:
         issubclass(kind, numbers.Complex) and not issubclass(kind, numbers.Real))
 
 
+def _real(w, x, y):
+    """``w`` as given, unless :func:`_non_real` refuses its type: then an
+    error that names the pair (x, y) it was given for."""
+    if _non_real(type(w)):
+        raise OutOfRangeProbabilityError(
+            f"p={w!r} for pair ({x}, {y}) is not a real number"
+        )
+    return w
+
+
 def logit(w):
     """Log-odds ``log(w / (1 - w))`` of a weight; scalars and arrays go
     through the same ``np.log``, so both give the same bits."""
@@ -132,10 +142,7 @@ class StochasticTournament:
             bad = {k for k in set(kinds) if _non_real(k)}  # one check per type
             if bad:
                 i = next(i for i, k in enumerate(kinds) if k in bad)
-                x, y = pair(i)
-                raise OutOfRangeProbabilityError(
-                    f"p={self.weights[i]!r} for pair ({x}, {y}) is not a real number"
-                )
+                _real(self.weights[i], *pair(i))  # raises
         weights = np.array(given, dtype=float)
         outside = ~((self.eta <= weights) & (weights <= 1.0 - self.eta))  # NaN too
         if outside.any():
@@ -385,7 +392,7 @@ def gen_cyclic(n: int, p: float, eta: float = ETA) -> StochasticTournament:
     for x in range(n):
         y = (x + 1) % n
         i = pair_index(n, min(x, y), max(x, y))
-        weights[i] = p
+        weights[i] = _real(p, x, y)
         low_wins[i] = x < y
     return StochasticTournament(n, weights, low_wins, eta)
 
@@ -425,6 +432,6 @@ def set_prob(
     i = pair_index(t.n, min(x, y), max(x, y))
     weights = t.weights.copy()
     low_wins = t.low_wins.copy()
-    weights[i] = p
+    weights[i] = _real(p, x, y)
     low_wins[i] = x < y
     return StochasticTournament(t.n, weights, low_wins, t.eta)

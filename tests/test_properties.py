@@ -79,6 +79,78 @@ def test_total_discrepancy_matches_brute_force(t):
 
 
 @settings(max_examples=60, deadline=None)
+@given(tournaments())
+def test_best_root_is_the_lowest_tau_tied_argmin(t):
+    oracle = oracle_per_root_sums(t)
+    r = bt.best_root(t)
+    slack = 1e-12 * (1.0 + oracle.max())  # the oracle sums in another order
+    assert oracle[r] <= oracle.min() + bt.TAU + slack
+    assert np.all(oracle[:r] > oracle.min() + bt.TAU - slack)
+
+
+class _LogOddsOnly:
+    """Duck-typed tournament with ``log_odds`` and nothing else, counting one
+    edge read per entry of the index arrays."""
+
+    def __init__(self, t):
+        self._t, self.reads = t, 0
+
+    def log_odds(self, x, y):
+        self.reads += np.size(x)
+        return self._t.log_odds(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tournaments(), st.data())
+def test_discrepancy_reads_three_edges_and_no_probability(t, data):
+    tri = bt.Triangle(*data.draw(st.permutations(range(t.n)))[:3])
+    view = _LogOddsOnly(t)
+    assert bt.discrepancy(view, tri) == bt.discrepancy(t, tri)
+    assert view.reads == 3
+
+
+def test_discrepancy_sums_read_no_probability_matrix(monkeypatch):
+    t = bt.gen_random(7, 0)
+    expected = bt.total_discrepancy(t), bt.best_root(t)
+
+    def refuse(*args):
+        raise AssertionError("read a probability")
+
+    monkeypatch.setattr(bt.StochasticTournament, "prob_matrix", refuse)
+    monkeypatch.setattr(bt.StochasticTournament, "prob", refuse)
+    td, root = bt.total_discrepancy(t), bt.best_root(t)
+    assert (td.total, td.per_root.tolist(), root) == (
+        expected[0].total, expected[0].per_root.tolist(), expected[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tournaments(max_n=24))
+def test_hodge_identities_tie_the_curl_to_the_fit(t):
+    """With phi the row mean of L and R = L - (phi_x - phi_y) its residual
+    (Jiang, Lim, Yao & Ye 2011): the squared curls sum to n * S, where S is
+    the sum of R_xy^2 over pairs; those through r sum to S + n * rho_r,
+    with rho_r the sum of R_ry^2 over y; and phi is the log of the fit."""
+    n = t.n
+    ell = t.log_odds_matrix()
+    phi = ell.sum(axis=1) / n
+    resid = ell - (phi[:, None] - phi[None, :])
+    x, y, z = np.array(list(combinations(range(n), 3))).T
+    curl2 = (ell[x, y] + ell[y, z] + ell[z, x]) ** 2
+    lo, hi = np.triu_indices(n, k=1)
+    s = math.fsum((resid[lo, hi] ** 2).tolist())
+    # R is L less a fit of L's own size, so its rounding scales with L
+    atol = 1e-13 * n * math.fsum((ell[lo, hi] ** 2).tolist())
+    assert math.isclose(math.fsum(curl2.tolist()), n * s, rel_tol=1e-12, abs_tol=atol)
+    rho = (resid**2).sum(axis=1)
+    for r in range(n):
+        mine = curl2[(x == r) | (y == r) | (z == r)]
+        assert math.isclose(math.fsum(mine.tolist()), s + n * rho[r],
+                            rel_tol=1e-12, abs_tol=atol)
+    fit = np.log(bt.fit_scores_least_squares(t))
+    np.testing.assert_allclose(fit, phi - phi[0], rtol=0, atol=1e-12 * (1 + np.abs(phi).max()))
+
+
+@settings(max_examples=60, deadline=None)
 @given(near_bt(), st.booleans())
 def test_min_verification_eps_is_the_threshold(case, fitted):
     t, scores = case

@@ -228,6 +228,16 @@ class TestPaths:
         assert isinstance(records, np.ndarray) and records.dtype == fileio._RECORD
         assert bt.parse_tournament(text) == bt.gen_random(5, 0)
 
+    @pytest.mark.parametrize("tail", ["# end\n", "\n# end\n  \n", "  # a\n#b\n\n"])
+    def test_trailing_comments_keep_the_record_array(self, tail):
+        t = bt.gen_random(5, 0)
+        text = bt.serialize_tournament(t) + tail
+        records = fileio._read(text, TOURNAMENT)[2]
+        assert isinstance(records, np.ndarray) and records.dtype == fileio._RECORD
+        parsed = bt.parse_tournament(text)
+        assert parsed.weights.tobytes() == t.weights.tobytes()
+        assert np.array_equal(parsed.low_wins, t.low_wins)
+
     @pytest.mark.parametrize("odd", [
         "labels=a,b,c\na b 0.5\nc a 0.5\nb c 0.5\n",  # labels in the body
         "0 1 0.5\n# note\n0 2 0.5\n1 2 0.5\n",  # a comment inside the body

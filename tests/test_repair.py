@@ -310,6 +310,12 @@ class TestExtendTree:
         pi = np.array([1.0, 9.0, 1.0]) / 11.0
         assert bt.check_reversible(t, pi, 0.0)
 
+    @pytest.mark.parametrize("w", ["0.5", "x", None, 0.5j])
+    def test_tree_refuses_a_non_real_weight(self, w):
+        with pytest.raises(bt.OutOfRangeProbabilityError,
+                           match=r"for pair \(2, 0\) is not a real number"):
+            bt.TreeWeights(3, ((1, 0, 0.5), (2, 0, w)))
+
     def test_respects_edge_orientation(self):
         # same star, but the {0,1} edge stored as 1 -> 0 with weight 0.1
         tw = bt.TreeWeights(3, ((1, 0, 0.1), (0, 2, 0.5)))

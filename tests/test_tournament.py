@@ -325,6 +325,12 @@ class TestGenerators:
         assert t.prob(0, 2) == 0.5
         assert t.prob(1, 3) == 0.5
 
+    @pytest.mark.parametrize("p", ["0.9", "x", None, 0.9j])
+    def test_cyclic_refuses_a_non_real_weight(self, p):
+        with pytest.raises(bt.OutOfRangeProbabilityError,
+                           match=r"for pair \(0, 1\) is not a real number"):
+            bt.gen_cyclic(3, p)
+
     def test_perturbed_zero_noise_is_identity(self, cyclic3):
         assert bt.gen_perturbed(cyclic3, 0.0, 123) == cyclic3
 
@@ -365,6 +371,12 @@ class TestSetProb:
             bt.set_prob(cyclic3, 1, 1, 0.5)
         with pytest.raises(bt.OutOfRangeProbabilityError):
             bt.set_prob(cyclic3, 0, 1, 1.0)
+
+    @pytest.mark.parametrize("p", ["0.5", "x", b"0.5", None, 0.5j])
+    def test_non_real_weight_names_the_pair(self, cyclic3, p):
+        with pytest.raises(bt.OutOfRangeProbabilityError,
+                           match=r"for pair \(1, 0\) is not a real number"):
+            bt.set_prob(cyclic3, 1, 0, p)
 
 
 def test_pair_index_is_lexicographic():
