@@ -6,7 +6,7 @@ is *balanced* when
     p_xy * p_yz * p_zx  ==  p_yx * p_zy * p_xz,
 
 equivalently when its ratio ``lambda`` is 1.  The balance predicate is
-evaluated on ``|log lambda| <= tol`` rather than on cross-multiplied
+evaluated on ``|log lambda| <= TAU`` rather than on cross-multiplied
 products: the condition is multiplicative, so a log-scale tolerance is
 invariant under rescaling of the odds.
 
@@ -33,6 +33,7 @@ from .errors import (
     SelfLoopError,
 )
 from .tournament import (
+    ETA,
     TAU,
     StochasticTournament,
     _is_vertex,
@@ -118,9 +119,9 @@ def triangle_ratio(t: StochasticTournament, tri: Triangle) -> float:
     return math.exp(log_triangle_ratio(t, tri))
 
 
-def is_balanced(t: StochasticTournament, tri: Triangle, tol: float = TAU) -> bool:
-    """True when |log lambda| <= tol.  Orientation-invariant."""
-    return abs(log_triangle_ratio(t, tri)) <= tol
+def is_balanced(t: StochasticTournament, tri: Triangle) -> bool:
+    """True when |log lambda| <= ``TAU``.  Orientation-invariant."""
+    return abs(log_triangle_ratio(t, tri)) <= TAU
 
 
 def is_eps_balanced(t: StochasticTournament, tri: Triangle, eps: float) -> bool:
@@ -131,7 +132,7 @@ def is_eps_balanced(t: StochasticTournament, tri: Triangle, eps: float) -> bool:
     depend on the orientation.  ``eps`` may exceed 1 (needed when checking
     7-eps balance for larger eps).
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN too
         raise ParameterOutOfRangeError(f"eps must be > 0, got {eps}")
     return abs(log_triangle_ratio(t, tri)) <= math.log1p(eps)
 
@@ -224,10 +225,9 @@ def cycle_ratio(t: StochasticTournament, cycle: DirectedCycle) -> float:
         return math.inf
 
 
-def is_cycle_balanced(
-    t: StochasticTournament, cycle: DirectedCycle, tol: float = TAU
-) -> bool:
-    return abs(log_cycle_ratio(t, cycle)) <= tol
+def is_cycle_balanced(t: StochasticTournament, cycle: DirectedCycle) -> bool:
+    """True when |log lambda| <= ``TAU`` along the cycle."""
+    return abs(log_cycle_ratio(t, cycle)) <= TAU
 
 
 # -- spanning trees and fundamental cycles --------------------------------
@@ -238,7 +238,7 @@ class TreeWeights:
     """A weighted, oriented spanning tree of the complete graph.
 
     ``edges`` holds ``(u, v, w)`` triples: the tree edge {u, v} is oriented
-    u -> v and carries weight w in (0, 1).
+    u -> v and carries weight w in ``[ETA, 1 - ETA]``.
     """
 
     n: int
@@ -249,9 +249,9 @@ class TreeWeights:
         _tree_structure(self.n, [(u, v) for u, v, _ in edges])  # validates
         edges = tuple((int(u), int(v), float(_real(w, u, v))) for u, v, w in edges)
         for u, v, w in edges:
-            if not 0.0 < w < 1.0:
+            if not ETA <= w <= 1.0 - ETA:  # NaN too
                 raise OutOfRangeProbabilityError(
-                    f"tree weight {w} on ({u}, {v}) outside (0, 1)"
+                    f"tree weight {w} on ({u}, {v}) outside [{ETA}, {1.0 - ETA}]"
                 )
         object.__setattr__(self, "edges", edges)
 
@@ -333,9 +333,7 @@ def fundamental_cycles(
 
 
 def check_fundamental_cycles(
-    t: StochasticTournament,
-    tree_edges: Iterable[tuple[int, int]],
-    tol: float = TAU,
+    t: StochasticTournament, tree_edges: Iterable[tuple[int, int]]
 ) -> bool:
     """True iff every fundamental cycle of the spanning tree is balanced.
 
@@ -346,4 +344,4 @@ def check_fundamental_cycles(
     True certifies that every cycle is balanced."""
     ell = t.log_odds_matrix()
     pot = _tree_potential(t.n, tree_edges, ell)
-    return bool(np.all(np.abs(_potential_residual(ell, pot)) <= tol))
+    return bool(np.all(np.abs(_potential_residual(ell, pot)) <= TAU))

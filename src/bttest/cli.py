@@ -7,8 +7,8 @@ rejected (``test`` rejecting, ``validate`` on a bad file), 2 for usage or
 runtime errors.  All randomness requires a seed, which is echoed in the
 report together with the RNG algorithm identifier.
 
-The balance tolerance defaults to the library's tau; ``test --tol`` sets
-it per call.
+``test`` judges balance up to the library's fixed tolerance ``TAU``;
+``--eps-balance`` switches it to the eps-balanced predicate.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .repair import (
     scores_from_root,
 )
 from .tester import TesterConfig, test_bt
-from .tournament import TAU, gen_bt, gen_cyclic, gen_random
+from .tournament import gen_bt, gen_cyclic, gen_random
 
 
 def _emit(command: str, config: dict, result: dict, seed=None) -> None:
@@ -73,7 +73,6 @@ def cmd_test(args) -> int:
     cfg = TesterConfig(
         eps=args.eps,
         delta=args.delta,
-        tol=args.tol,
         seed=args.seed,
         eps_balance=args.eps_balance,
     )
@@ -91,7 +90,6 @@ def cmd_test(args) -> int:
         "file": args.file,
         "eps": cfg.eps,
         "delta": cfg.delta,
-        "tol": cfg.tol,
         "eps_balance": cfg.eps_balance,
     }
     _emit("test", config, result, seed=cfg.seed)
@@ -209,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=1.0 / 3.0,
                    help="failure probability (default 1/3)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=TAU,
-                   help="balance tolerance on |log lambda|")
     p.add_argument("--eps-balance", type=float, default=None, dest="eps_balance",
                    help="use the eps-balanced predicate at this eps instead")
     p.set_defaults(func=cmd_test)

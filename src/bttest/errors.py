@@ -28,7 +28,7 @@ class MissingPairError(TournamentError):
 
 class OutOfRangeProbabilityError(TournamentError):
     """A probability is not a real number or lies outside the allowed
-    [eta, 1 - eta] band."""
+    [ETA, 1 - ETA] band."""
 
 
 class DimensionMismatchError(TournamentError):
@@ -76,4 +76,4 @@ class LabelError(TournamentError, ValueError):
 
 
 class ClampWarning(UserWarning):
-    """A computed weight fell outside [eta, 1 - eta] and was clamped."""
+    """A computed weight fell outside [ETA, 1 - ETA] and was clamped."""

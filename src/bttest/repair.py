@@ -35,7 +35,6 @@ from .errors import (
     ClampWarning,
     DeskScaleExceededError,
     DimensionMismatchError,
-    OutOfRangeProbabilityError,
     ParameterOutOfRangeError,
     PreconditionFailedError,
     TooFewVerticesError,
@@ -63,12 +62,12 @@ class RepairReport:
     root in some unbalanced triangle appear; nothing incident to the root
     is ever edited.  ``per_edge_bound_ok`` records that every edit stayed
     within the discrepancy of its triangle; ``clamped`` lists pairs whose
-    balancing value fell outside [eta, 1 - eta] and was clamped.
+    balancing value fell outside [ETA, 1 - ETA] and was clamped.
 
     An edit keeps the pair's stored orientation.  When its balancing weight
     w lies within about 1e-9 of 1 that stores the large side, whose
     complement carries about ulp/(1 - w) relative error, so the triangle is
-    balanced only to about that, not to ``tol``: weights (1e-12, 0.5, 0.5)
+    balanced only to about that, not to ``TAU``: weights (1e-12, 0.5, 0.5)
     on n = 3, stored high -> low, repaired at root 0, leave |log lambda| =
     2.2e-5 after the edit 2 -> 1 to 0.999999999999.
     """
@@ -98,7 +97,7 @@ def repair_with_root(
     balances the triangle exactly.  Triangles already balanced within
     ``TAU`` are left alone, so repairing a reversible tournament is the
     identity with total_change 0.  Balancing values outside
-    [eta, 1 - eta] are clamped and flagged.
+    [ETA, 1 - ETA] are clamped and flagged.
     """
     t._check_vertex(r)
     u, v = t._oriented()
@@ -108,11 +107,11 @@ def repair_with_root(
     u, v, old = u[idx], v[idx], t.weights[idx]
     p = t.prob_matrix()
     new = _balancing_weight(p[u, r], p[r, v], p[r, u], p[v, r])
-    clamp = (new < t.eta) | (new > 1.0 - t.eta)
-    new = np.clip(new, t.eta, 1.0 - t.eta)
+    clamp = (new < ETA) | (new > 1.0 - ETA)
+    new = np.clip(new, ETA, 1.0 - ETA)
     new_weights = t.weights.copy()
     new_weights[idx] = new
-    repaired = StochasticTournament(t.n, new_weights, t.low_wins, t.eta)
+    repaired = StochasticTournament(t.n, new_weights, t.low_wins)
     # every |edit| must stay within the discrepancy of its triangle
     disc = np.abs(_disc_components(e[:, idx])).max(axis=0)
     change = np.abs(new - old)
@@ -236,7 +235,7 @@ def check_seven_eps(
     )
 
 
-def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
+def extend_tree(tw: TreeWeights) -> StochasticTournament:
     """Extend spanning-tree weights to a reversible tournament.
 
     A stationary measure is grown along the tree from its lowest vertex
@@ -244,17 +243,13 @@ def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
     child), then every chord gets the unique detailed-balance weight
     ``p_lo,hi / p_hi,lo = pi(hi) / pi(lo)``, stored along its small side
     (weight at most 1/2, low -> high on a tie) so that no read loses digits.
-    Tree edges keep their input weight and orientation bit-for-bit.  Chord
-    weights below eta are clamped up to it with a ClampWarning.  The
+    Tree edges keep their input weight and orientation bit-for-bit
+    (``TreeWeights`` holds them inside [ETA, 1 - ETA]).  Chord weights
+    below ETA are clamped up to it with a ClampWarning.  The
     measure is accumulated in log space so long ratio chains cannot
     overflow.
     """
     n = tw.n
-    for u, v, w in tw.edges:
-        if not (eta <= w <= 1.0 - eta):
-            raise OutOfRangeProbabilityError(
-                f"tree weight {w} on ({u}, {v}) outside [{eta}, {1.0 - eta}]"
-            )
     rise = {(u, v): logit(w) for u, v, w in tw.edges}
     rise.update({(v, u): -ell for (u, v), ell in rise.items()})
     log_pi = _tree_potential(n, [(u, v) for u, v, _ in tw.edges], rise)
@@ -263,20 +258,20 @@ def extend_tree(tw: TreeWeights, eta: float = ETA) -> StochasticTournament:
     ell = log_pi[hi] - log_pi[lo]  # log-odds of lo beating hi
     low_wins = ell <= 0.0
     weights = logistic(-np.abs(ell))  # the small side, at most 1/2
-    # a chord whose exact weight is eta can round a few ulp below it
-    outside = weights < eta - 16 * np.spacing(eta)
-    weights = np.maximum(weights, eta)
+    # a chord whose exact weight is ETA can round a few ulp below it
+    outside = weights < ETA - 16 * np.spacing(ETA)
+    weights = np.maximum(weights, ETA)
     for u, v, w in tw.edges:
         i = pair_index(n, min(u, v), max(u, v))
         weights[i], low_wins[i], outside[i] = w, u < v, False
     clamped = int(outside.sum())
     if clamped:
         warnings.warn(
-            f"{clamped} chord weight(s) clamped into [{eta}, {1.0 - eta}]",
+            f"{clamped} chord weight(s) clamped into [{ETA}, {1.0 - ETA}]",
             ClampWarning,
             stacklevel=2,
         )
-    return StochasticTournament(n, weights, low_wins, eta)
+    return StochasticTournament(n, weights, low_wins)
 
 
 def fit_scores_least_squares(t: StochasticTournament) -> np.ndarray:

@@ -42,23 +42,20 @@ class TesterConfig:
     """Knobs of one tester run.
 
     ``eps`` is the farness parameter, ``delta`` the allowed probability of
-    accepting a far input (1/3 gives the classical 2/3 success bound),
-    ``tol`` the balance tolerance on |log lambda|, and ``seed`` the RNG
-    seed.  Setting ``eps_balance`` switches the per-triangle predicate from
-    exact balance to the multiplicative eps-balanced form.
+    accepting a far input (1/3 gives the classical 2/3 success bound), and
+    ``seed`` the RNG seed.  A triangle passes when |log lambda| <= ``TAU``;
+    setting ``eps_balance`` switches to the multiplicative eps-balanced
+    form, |log lambda| <= log1p(eps_balance).
     """
 
     eps: float
     delta: float = 1.0 / 3.0
-    tol: float = TAU
     seed: int = 0
     eps_balance: float | None = None
 
     def __post_init__(self):
         sample_size(self.eps, self.delta)  # raises on an eps or delta outside (0, 1)
-        if self.tol < 0.0:
-            raise ParameterOutOfRangeError(f"tol must be >= 0, got {self.tol}")
-        if self.eps_balance is not None and self.eps_balance <= 0.0:
+        if self.eps_balance is not None and not self.eps_balance > 0.0:  # NaN too
             raise ParameterOutOfRangeError(
                 f"eps_balance must be > 0, got {self.eps_balance}"
             )
@@ -105,6 +102,8 @@ def sample_triangle(rng: np.random.Generator, n: int) -> Triangle:
     triple of distinct vertices in O(1) space; dropping the order makes the
     unordered triple exactly uniform.
     """
+    if n < 3:
+        raise TooFewVerticesError(f"a triangle needs n >= 3, got n={n}")
     return Triangle(*next(_triangles(rng, n, 1))[0].tolist())
 
 
@@ -128,7 +127,7 @@ def test_bt(t: StochasticTournament, cfg: TesterConfig) -> TestVerdict:
     """Accept iff every sampled triangle is balanced.
 
     Draws ``sample_size(cfg.eps, cfg.delta)`` triangles i.i.d. uniformly
-    (with replacement), checking each for |log lambda| <= ``cfg.tol`` (or
+    (with replacement), checking each for |log lambda| <= ``TAU`` (or
     ``log1p(cfg.eps_balance)``, the eps-balanced form).  Rejects with the
     first unbalanced triangle as witness; deterministic given the seed.
     Reads ``t`` only through ``t.n`` and one ``t.log_odds`` call per chunk.
@@ -136,7 +135,7 @@ def test_bt(t: StochasticTournament, cfg: TesterConfig) -> TestVerdict:
     if t.n < 3:
         raise TooFewVerticesError(f"tester needs n >= 3, got n={t.n}")
     k = sample_size(cfg.eps, cfg.delta)
-    bound = cfg.tol if cfg.eps_balance is None else math.log1p(cfg.eps_balance)
+    bound = TAU if cfg.eps_balance is None else math.log1p(cfg.eps_balance)
     used = 0
     for tri in _triangles(np.random.default_rng(cfg.seed), t.n, k):
         bad = abs(log_triangle_ratio(t, tri)) > bound

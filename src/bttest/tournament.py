@@ -9,9 +9,11 @@ bit-exactly for every pair (the subtraction ``1 - w`` never accumulates).
 Log-odds are the logit of the stored weight, negated against the present
 edge, so ``log_odds(x, y) == -log_odds(y, x)`` holds bit-exactly too.
 
-Probabilities are kept inside ``[eta, 1 - eta]`` for a configurable floor
-``eta`` (default 1e-12): every downstream ratio ``p_xy / p_yx`` must stay
-finite, so weights of exactly 0 or 1 are rejected rather than special-cased.
+Probabilities are kept inside ``[ETA, 1 - ETA]`` for the fixed floor
+``ETA = 1e-12``: every downstream ratio ``p_xy / p_yx`` must stay finite, so
+weights of exactly 0 or 1 are rejected rather than special-cased.  Exact
+balance and exact reversibility are judged up to the fixed tolerance
+``TAU``; a looser bound is set only through the eps-balanced forms.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from .errors import (
     VertexOutOfRangeError,
 )
 
-#: Default positivity floor for edge probabilities.
+#: Positivity floor for edge probabilities.
 ETA = 1e-12
 
-#: Default tolerance, one bound on a |log| for both checks: on |log lambda|
+#: Tolerance, one bound on a |log| for both checks: on |log lambda|
 #: for "balanced", and on |log(pi_x p_xy / (pi_y p_yx))| for "reversible".
 TAU = 1e-9
 
@@ -102,8 +104,6 @@ class StochasticTournament:
     low_wins : np.ndarray
         Boolean, same shape; True where the present edge points from the
         lower to the higher vertex id.
-    eta : float
-        Positivity floor actually enforced on ``weights``.
 
     Instances are immutable (the arrays are marked read-only); all methods
     are safe to call concurrently.
@@ -112,7 +112,6 @@ class StochasticTournament:
     n: int
     weights: np.ndarray
     low_wins: np.ndarray
-    eta: float = ETA
 
     def __post_init__(self):
         if self.n < 2:
@@ -125,11 +124,6 @@ class StochasticTournament:
             raise DimensionMismatchError(
                 f"expected {m} pair entries for n={self.n}, "
                 f"got {given.shape} / {low_wins.shape}"
-            )
-        # a tiny eta makes 1 - eta round to 1.0, which would admit a weight of 1
-        if not (0.0 < self.eta < 0.5) or 1.0 - self.eta == 1.0:
-            raise ParameterOutOfRangeError(
-                f"eta must be in (0, 0.5) with 1 - eta < 1, got {self.eta}"
             )
 
         def pair(i):  # the pair of entry i, as stored
@@ -144,12 +138,12 @@ class StochasticTournament:
                 i = next(i for i, k in enumerate(kinds) if k in bad)
                 _real(self.weights[i], *pair(i))  # raises
         weights = np.array(given, dtype=float)
-        outside = ~((self.eta <= weights) & (weights <= 1.0 - self.eta))  # NaN too
+        outside = ~((ETA <= weights) & (weights <= 1.0 - ETA))  # NaN too
         if outside.any():
             i = int(np.argmax(outside))
             x, y = pair(i)
             raise OutOfRangeProbabilityError(
-                f"p={weights[i]} for pair ({x}, {y}) outside [{self.eta}, {1.0 - self.eta}]"
+                f"p={weights[i]} for pair ({x}, {y}) outside [{ETA}, {1.0 - ETA}]"
             )
         weights.setflags(write=False)
         low_wins.setflags(write=False)
@@ -348,7 +342,7 @@ def check_reversible(
         raise DimensionMismatchError(f"pi has shape {pi.shape}, expected ({t.n},)")
     if not np.all(np.isfinite(pi)) or np.any(pi <= 0.0):
         raise ParameterOutOfRangeError("pi must be strictly positive and finite")
-    if eps < 0.0:
+    if not eps >= 0.0:  # NaN too
         raise ParameterOutOfRangeError(f"eps must be >= 0, got {eps}")
     # pi / max first: at pi ~ 1e-300, log(pi) ~ -690 has an ulp of 1e-13
     with np.errstate(divide="ignore", invalid="ignore"):  # a spread past 1e323 gives 0
@@ -381,7 +375,7 @@ def gen_bt(scores: Sequence[float] | np.ndarray) -> StochasticTournament:
     return StochasticTournament(n, weights, np.ones(m, dtype=bool))
 
 
-def gen_cyclic(n: int, p: float, eta: float = ETA) -> StochasticTournament:
+def gen_cyclic(n: int, p: float) -> StochasticTournament:
     """Rock-paper-scissors style tournament: x_i beats x_{i+1 mod n} with
     probability ``p``; all other pairs are fair coins."""
     if n < 2:
@@ -394,20 +388,20 @@ def gen_cyclic(n: int, p: float, eta: float = ETA) -> StochasticTournament:
         i = pair_index(n, min(x, y), max(x, y))
         weights[i] = _real(p, x, y)
         low_wins[i] = x < y
-    return StochasticTournament(n, weights, low_wins, eta)
+    return StochasticTournament(n, weights, low_wins)
 
 
 def gen_perturbed(
     base: StochasticTournament, noise: float, seed: int
 ) -> StochasticTournament:
     """Add seeded uniform noise in [-noise, noise] to every present-edge
-    weight, clamping into [eta, 1 - eta].  Pure function of (base, noise, seed)."""
+    weight, clamping into [ETA, 1 - ETA].  Pure function of (base, noise, seed)."""
     if not 0.0 <= noise < 0.5:
         raise ParameterOutOfRangeError(f"noise must be in [0, 0.5), got {noise}")
     rng = np.random.default_rng(seed)
     delta = rng.uniform(-noise, noise, size=base.weights.size)
-    weights = np.clip(base.weights + delta, base.eta, 1.0 - base.eta)
-    return StochasticTournament(base.n, weights, base.low_wins, base.eta)
+    weights = np.clip(base.weights + delta, ETA, 1.0 - ETA)
+    return StochasticTournament(base.n, weights, base.low_wins)
 
 
 def gen_random(n: int, seed: int) -> StochasticTournament:
@@ -434,4 +428,4 @@ def set_prob(
     low_wins = t.low_wins.copy()
     weights[i] = _real(p, x, y)
     low_wins[i] = x < y
-    return StochasticTournament(t.n, weights, low_wins, t.eta)
+    return StochasticTournament(t.n, weights, low_wins)

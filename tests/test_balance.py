@@ -72,7 +72,9 @@ class TestTriangleRatio:
 
 class TestBalancePredicates:
     def test_lambda_one_any_tol(self, fair3):
-        assert bt.is_balanced(fair3, bt.Triangle(0, 1, 2), 0.0)
+        # a curl of exactly 0 passes every bound, TAU's included
+        assert bt.log_triangle_ratio(fair3, bt.Triangle(0, 1, 2)) == 0.0
+        assert bt.is_balanced(fair3, bt.Triangle(0, 1, 2))
 
     def test_729_not_eps_balanced(self, cyclic3):
         assert not bt.is_eps_balanced(cyclic3, bt.Triangle(0, 1, 2), 1.0)
@@ -97,8 +99,9 @@ class TestBalancePredicates:
         assert bt.is_eps_balanced(cyclic3, bt.Triangle(0, 1, 2), 729.0)
 
     def test_eps_validation(self, fair3):
-        with pytest.raises(bt.ParameterOutOfRangeError):
-            bt.is_eps_balanced(fair3, bt.Triangle(0, 1, 2), 0.0)
+        for eps in (0.0, float("nan")):
+            with pytest.raises(bt.ParameterOutOfRangeError):
+                bt.is_eps_balanced(fair3, bt.Triangle(0, 1, 2), eps)
 
 
 class TestDiscrepancy:
@@ -142,7 +145,7 @@ class TestDiscrepancy:
             d = bt.discrepancy(t, tri)
             for x, y, delta in ((0, 1, d.alpha), (1, 2, d.beta), (2, 0, d.gamma)):
                 fixed = bt.set_prob(t, x, y, t.prob(x, y) - delta)
-                assert bt.is_balanced(fixed, tri, 1e-9)
+                assert bt.is_balanced(fixed, tri)
 
 
 class TestTotalDiscrepancy:

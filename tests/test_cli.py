@@ -92,12 +92,15 @@ class TestTest:
         )
         assert code == 0
 
-    def test_tol_flag_sets_the_balance_tolerance(self, capsys, cyclic_file):
+    def test_eps_balance_is_the_only_looser_bound(self, capsys, cyclic_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["test", cyclic_file, "--eps", "0.5", "--tol", "7"])
+        assert exc.value.code == 2
         code, report = run(capsys, "test", cyclic_file, "--eps", "0.5")
-        assert (code, report["config"]["tol"]) == (1, bt.TAU)
-        # the one triangle has |log lambda| = 3 logit(0.9) = 6.59
-        code, report = run(capsys, "test", cyclic_file, "--eps", "0.5", "--tol", "7")
-        assert (code, report["config"]["tol"]) == (0, 7.0)
+        assert code == 1 and "tol" not in report["config"]
+        # the one triangle has |log lambda| = 3 logit(0.9) = 6.59 < log1p(1096) = 7.0
+        code, _ = run(capsys, "test", cyclic_file, "--eps", "0.5", "--eps-balance", "1096")
+        assert code == 0
 
     def test_whitespace_label_exits_2(self, capsys, tmp_path):
         path = tmp_path / "nbsp.bt"
@@ -109,6 +112,9 @@ class TestTest:
     def test_bad_eps(self, capsys, cyclic_file):
         code = main(["test", cyclic_file, "--eps", "2.0"])
         assert code == 2
+        # NaN would print a report that is not JSON
+        code = main(["test", cyclic_file, "--eps", "0.5", "--eps-balance", "nan"])
+        assert (code, capsys.readouterr().out) == (2, "")
 
 
 class TestDisc:

@@ -79,12 +79,12 @@ class TestRepairWithRoot:
                 assert report.total_change <= per_root[r] + 1e-9
 
     def test_clamped_balancing_value(self):
-        # eta = 0.3 with all cycle weights 0.7: the balancing odds for the
-        # edge opposite the root fall below the floor and must clamp
-        t = bt.gen_cyclic(3, 0.7, eta=0.3)
+        # all cycle weights 1e-7: the balancing odds of 0 -> 1 at root 2 are
+        # about 1e14, past the ceiling 1 - ETA, and must clamp
+        t = bt.gen_cyclic(3, 1e-7)
         repaired, report = bt.repair_with_root(t, 2)
         assert report.clamped == ((0, 1),)
-        assert repaired.prob(0, 1) == 0.3
+        assert repaired.prob(0, 1) == 1.0 - bt.ETA
 
     def test_edit_set_is_the_unbalanced_opposite_edges(self):
         # edited pairs are exactly those whose triangle with the root is
@@ -113,17 +113,18 @@ class TestRepairWithRoot:
                 den = t.prob(r, v) * t.prob(u, r)
                 if abs(math.log(old / (1.0 - old)) + math.log(num / den)) <= bt.TAU:
                     continue
-                new = min(max(den / (den + num), t.eta), 1.0 - t.eta)
+                new = min(max(den / (den + num), bt.ETA), 1.0 - bt.ETA)
                 edits.append((u, v, old, new))
             return tuple(edits)
 
         rng = np.random.default_rng(12)
         corrupted = bt.set_prob(bt.set_prob(bt.gen_bt(np.linspace(1, 3, 9)), 5, 2, 0.3), 1, 6, 0.8)
         mixed = bt.StochasticTournament(9, bt.gen_random(9, 4).weights, rng.random(36) < 0.5)
-        clamping = bt.gen_cyclic(5, 0.7, eta=0.3)
+        clamping = bt.gen_cyclic(5, 1e-7)
         for t in (corrupted, mixed, clamping):
             for r in range(t.n):
                 assert bt.repair_with_root(t, r)[1].edits == reference(t, r)
+        assert all(len(bt.repair_with_root(clamping, r)[1].clamped) == 1 for r in range(5))
 
     def test_balancing_weight_reads_both_directions(self):
         # p_02 = 1 - 1e-12 is stored as its complement 2 -> 0, so recomputing
@@ -365,11 +366,11 @@ class TestExtendTree:
         assert t.prob(2, 1) == bt.ETA
 
     def test_chord_clamping_warns(self):
-        tw = bt.TreeWeights(3, ((0, 1, 0.8), (1, 2, 0.8)))
+        tw = bt.TreeWeights(3, ((0, 1, 1e-7), (1, 2, 1e-7)))
         with pytest.warns(bt.ClampWarning):
-            t = bt.extend_tree(tw, eta=0.2)
-        # pi = (1, 4, 16): chord odds 16 -> 16/17 clamped to 1 - eta
-        assert t.prob(0, 2) == pytest.approx(0.8)
+            t = bt.extend_tree(tw)
+        # pi = (1, 1e-7, 1e-14) roughly: chord odds about 1e-14, clamped to ETA
+        assert t.prob(0, 2) == bt.ETA
 
     def test_long_path_clamps_instead_of_overflowing(self):
         # pi falls by a factor 1e12 per step, so the chord (0, 29) has
@@ -381,9 +382,9 @@ class TestExtendTree:
         assert all(t.prob(v, v + 1) == 1e-12 for v in range(29))
 
     def test_tree_weight_outside_band(self):
-        tw = bt.TreeWeights(3, ((0, 1, 1e-14), (0, 2, 0.5)))
-        with pytest.raises(bt.OutOfRangeProbabilityError):
-            bt.extend_tree(tw)
+        for w in (1e-14, 1.0 - 1e-14, float("nan")):
+            with pytest.raises(bt.OutOfRangeProbabilityError):
+                bt.TreeWeights(3, ((0, 1, w), (0, 2, 0.5)))
 
     def test_tree_weights_validation(self):
         with pytest.raises(bt.NotASpanningTreeError):

@@ -44,10 +44,10 @@ class TestConfig:
             bt.TesterConfig(eps=1.5)
         with pytest.raises(bt.ParameterOutOfRangeError):
             bt.TesterConfig(eps=0.5, delta=1.0)
-        with pytest.raises(bt.ParameterOutOfRangeError):
-            bt.TesterConfig(eps=0.5, tol=-1.0)
-        with pytest.raises(bt.ParameterOutOfRangeError):
-            bt.TesterConfig(eps=0.5, eps_balance=0.0)
+        # a NaN bound would accept every triangle, so a far input would pass
+        for eps_balance in (0.0, float("nan")):
+            with pytest.raises(bt.ParameterOutOfRangeError):
+                bt.TesterConfig(eps=0.5, eps_balance=eps_balance)
 
 
 class TestVerdicts:
@@ -164,6 +164,12 @@ class TestSamplingUniformity:
         se = math.sqrt(p * (1.0 - p) / draws)
         for c in counts.values():
             assert abs(c / draws - p) <= 5.0 * se
+
+    def test_needs_three_vertices(self):
+        rng = np.random.default_rng(0)
+        for n in (0, 1, 2):
+            with pytest.raises(bt.TooFewVerticesError):
+                bt.sample_triangle(rng, n)
 
     def test_vertices_distinct_and_in_range(self):
         rng = np.random.default_rng(9)

@@ -154,20 +154,6 @@ class TestProb:
         assert all(type(w) is float and t.prob(x, y) == w for x, y, w in edges)
 
 
-class TestEtaFloor:
-    def test_eta_below_the_ulp_of_one(self):
-        # 1 - 1e-20 == 1.0, so the band would admit a weight of exactly 1
-        with pytest.raises(bt.ParameterOutOfRangeError):
-            bt.StochasticTournament(2, [1.0], [True], eta=1e-20)
-        assert bt.StochasticTournament(2, [1.0 - 1e-16], [True], eta=1e-16).n == 2
-
-    def test_eta_whose_triangle_ratio_overflows(self):
-        # three weights of 1e-301 against the canonical orientation give
-        # log lambda = 2072, past what a float exp can hold
-        with pytest.raises(bt.ParameterOutOfRangeError):
-            bt.StochasticTournament(3, [1e-301] * 3, [False, True, False], eta=1e-301)
-
-
 class TestLogistic:
     def test_inverts_logit_on_stored_weights(self):
         # exp turns the rounding of z = logit(w) into a relative error of
@@ -272,6 +258,12 @@ class TestCheckReversible:
     def test_dimension_mismatch(self, cyclic3):
         with pytest.raises(bt.DimensionMismatchError):
             bt.check_reversible(cyclic3, np.ones(4) / 4, 0.0)
+
+    def test_eps_validation(self):
+        t, pi = bt.gen_bt([1, 2, 4]), bt.scores_to_stationary([1, 2, 4])
+        for eps in (-1.0, float("nan")):
+            with pytest.raises(bt.ParameterOutOfRangeError):
+                bt.check_reversible(t, pi, eps)
 
     def test_nonpositive_pi(self, cyclic3):
         with pytest.raises(bt.ParameterOutOfRangeError):
