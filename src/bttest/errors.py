@@ -48,7 +48,7 @@ class TooFewVerticesError(TournamentError):
 
 
 class ParameterOutOfRangeError(TournamentError):
-    """A numeric parameter (eps, delta, tol, noise, ...) is out of range."""
+    """A numeric parameter (eps, delta, noise, samples, ...) is out of range."""
 
 
 class PreconditionFailedError(TournamentError):

@@ -57,19 +57,15 @@ DESK_SCALE = 8
 class RepairReport:
     """What a repair did.
 
-    ``edits`` lists the rewritten present edges as ``(x, y, old, new)``
-    where x -> y is the edge's stored orientation.  Only edges opposite the
-    root in some unbalanced triangle appear; nothing incident to the root
-    is ever edited.  ``per_edge_bound_ok`` records that every edit stayed
-    within the discrepancy of its triangle; ``clamped`` lists pairs whose
-    balancing value fell outside [ETA, 1 - ETA] and was clamped.
-
-    An edit keeps the pair's stored orientation.  When its balancing weight
-    w lies within about 1e-9 of 1 that stores the large side, whose
-    complement carries about ulp/(1 - w) relative error, so the triangle is
-    balanced only to about that, not to ``TAU``: weights (1e-12, 0.5, 0.5)
-    on n = 3, stored high -> low, repaired at root 0, leave |log lambda| =
-    2.2e-5 after the edit 2 -> 1 to 0.999999999999.
+    ``edits`` lists the rewritten edges as ``(x, y, old, new)``, where
+    x -> y is the pair's stored orientation in the repaired tournament,
+    its small side: ``new`` is the stored weight, at most 1/2, and ``old``
+    is p_xy of the input.  Only edges opposite the root in some unbalanced
+    triangle appear; nothing incident to the root is ever edited.
+    ``per_edge_bound_ok`` records that every edit stayed within the
+    discrepancy of its triangle; ``clamped`` lists, in the same
+    orientation, the pairs whose balancing weight fell below ETA and now
+    sit at ETA.  A clamped pair already stored at ETA is not an edit.
     """
 
     root: int
@@ -79,11 +75,15 @@ class RepairReport:
     clamped: tuple[tuple[int, int], ...]
 
 
-def _balancing_weight(p_xz, p_zy, p_zx, p_yz):
-    """``p_xy`` that alone balances the triangle {x, y, z}; elementwise.  Each
-    edge is read in both directions: ``1 - (1 - w)`` keeps few digits of w ~ 0."""
-    via = p_xz * p_zy
-    return via / (via + p_zx * p_yz)
+def _small_side(ell):
+    """Stored form of pairs whose first vertex beats the second at log-odds
+    ``ell``: the small side's weight ``logistic(-|ell|)`` (at most 1/2)
+    floored at ETA, whether the first vertex is its tail (also on a tie),
+    and where the floor moved a weight by more than rounding."""
+    weights = logistic(-np.abs(ell))
+    # a weight whose exact value is ETA can round a few ulp below it
+    floored = weights < ETA - 16 * np.spacing(ETA)
+    return np.maximum(weights, ETA), ell <= 0.0, floored
 
 
 def repair_with_root(
@@ -92,36 +92,37 @@ def repair_with_root(
     """Rebalance every triangle through ``r`` by rewriting its opposite edge.
 
     For each pair {u, v} avoiding r whose triangle {r, u, v} is unbalanced
-    (beyond ``TAU`` on |log lambda|), the present edge u -> v gets the
-    unique weight with odds ``(p_ur / p_ru) * (p_rv / p_vr)``, which
-    balances the triangle exactly.  Triangles already balanced within
-    ``TAU`` are left alone, so repairing a reversible tournament is the
-    identity with total_change 0.  Balancing values outside
-    [ETA, 1 - ETA] are clamped and flagged.
+    (beyond ``TAU`` on |log lambda|), the pair gets the log-odds
+    ``L[u, v] = L[u, r] + L[r, v]``, which balances the triangle exactly,
+    and is stored as its small side.  Triangles already balanced within
+    ``TAU`` keep their pair's weight and orientation bit for bit, so
+    repairing a reversible tournament is the identity with total_change 0.
+    Balancing weights below ETA are floored at ETA and flagged.
     """
     t._check_vertex(r)
     u, v = t._oriented()
     # edge log-odds of triangle (u, v, r) traversed u -> v -> r -> u
     e = _edge_log_odds(t.log_odds_matrix(), u, v, r)
     idx = np.flatnonzero((np.abs(_curl(e)) > TAU) & (u != r) & (v != r))
-    u, v, old = u[idx], v[idx], t.weights[idx]
-    p = t.prob_matrix()
-    new = _balancing_weight(p[u, r], p[r, v], p[r, u], p[v, r])
-    clamp = (new < ETA) | (new > 1.0 - ETA)
-    new = np.clip(new, ETA, 1.0 - ETA)
-    new_weights = t.weights.copy()
-    new_weights[idx] = new
-    repaired = StochasticTournament(t.n, new_weights, t.low_wins)
+    u, v, e, w = u[idx], v[idx], e[:, idx], t.weights[idx]
+    # L[u, r] + L[r, v], reordered exactly
+    new, keep, clamp = _small_side(-(e[1] + e[2]))
+    x, y = np.where(keep, u, v), np.where(keep, v, u)
+    old = np.where(keep, w, 1.0 - w)
+    edit = old != new
+    weights, low_wins = t.weights.copy(), t.low_wins.copy()
+    weights[idx[edit]] = new[edit]
+    low_wins[idx[edit]] = (x < y)[edit]
+    repaired = StochasticTournament(t.n, weights, low_wins)
     # every |edit| must stay within the discrepancy of its triangle
-    disc = np.abs(_disc_components(e[:, idx])).max(axis=0)
+    disc = np.abs(_disc_components(e)).max(axis=0)
     change = np.abs(new - old)
-    u, v = u.tolist(), v.tolist()
     return repaired, RepairReport(
         root=r,
-        edits=tuple(zip(u, v, old.tolist(), new.tolist())),
+        edits=tuple(zip(*(a[edit].tolist() for a in (x, y, old, new)))),
         total_change=math.fsum(change.tolist()),
         per_edge_bound_ok=bool(np.all(change <= disc + 1e-12)),
-        clamped=tuple((a, b) for a, b, c in zip(u, v, clamp) if c),
+        clamped=tuple(zip(x[clamp].tolist(), y[clamp].tolist())),
     )
 
 
@@ -255,12 +256,7 @@ def extend_tree(tw: TreeWeights) -> StochasticTournament:
     log_pi = _tree_potential(n, [(u, v) for u, v, _ in tw.edges], rise)
 
     lo, hi = np.triu_indices(n, k=1)
-    ell = log_pi[hi] - log_pi[lo]  # log-odds of lo beating hi
-    low_wins = ell <= 0.0
-    weights = logistic(-np.abs(ell))  # the small side, at most 1/2
-    # a chord whose exact weight is ETA can round a few ulp below it
-    outside = weights < ETA - 16 * np.spacing(ETA)
-    weights = np.maximum(weights, ETA)
+    weights, low_wins, outside = _small_side(log_pi[hi] - log_pi[lo])
     for u, v, w in tw.edges:
         i = pair_index(n, min(u, v), max(u, v))
         weights[i], low_wins[i], outside[i] = w, u < v, False
@@ -348,7 +344,7 @@ def l1_distance_oracle(t: StochasticTournament, budget: int = 200) -> DistanceBo
         raise DeskScaleExceededError(
             f"distance oracle is desk-scale only (n <= {DESK_SCALE}), got n={t.n}"
         )
-    if budget < 0:
+    if not budget >= 0:  # NaN too
         raise ParameterOutOfRangeError(f"budget must be >= 0, got {budget}")
 
     upper = min(repair_with_root(t, r)[1].total_change for r in range(t.n))

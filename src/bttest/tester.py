@@ -29,7 +29,7 @@ import numpy as np
 
 from .balance import Triangle, log_triangle_ratio
 from .errors import ParameterOutOfRangeError, TooFewVerticesError
-from .tournament import TAU, StochasticTournament
+from .tournament import _INTEGER, TAU, StochasticTournament
 
 _FY_LOWS = np.arange(3)
 
@@ -158,8 +158,8 @@ def estimate_unbalanced_fraction(
     """
     if t.n < 3:
         raise TooFewVerticesError(f"need n >= 3, got n={t.n}")
-    if samples < 1:
-        raise ParameterOutOfRangeError(f"samples must be >= 1, got {samples}")
+    if not (isinstance(samples, _INTEGER) and samples >= 1):
+        raise ParameterOutOfRangeError(f"samples must be an integer >= 1, got {samples}")
     chunks = _triangles(np.random.default_rng(seed), t.n, samples, _CHUNK)
     bad = sum(np.count_nonzero(abs(log_triangle_ratio(t, c)) > TAU) for c in chunks)
     return bad / samples

@@ -112,6 +112,7 @@ def test_discrepancy_reads_three_edges_and_no_probability(t, data):
 def test_discrepancy_sums_read_no_probability_matrix(monkeypatch):
     t = bt.gen_random(7, 0)
     expected = bt.total_discrepancy(t), bt.best_root(t)
+    repairs = [bt.repair_with_root(t, r) for r in (0, 4)] + [bt.repair(t)]
 
     def refuse(*args):
         raise AssertionError("read a probability")
@@ -121,6 +122,7 @@ def test_discrepancy_sums_read_no_probability_matrix(monkeypatch):
     td, root = bt.total_discrepancy(t), bt.best_root(t)
     assert (td.total, td.per_root.tolist(), root) == (
         expected[0].total, expected[0].per_root.tolist(), expected[1])
+    assert [bt.repair_with_root(t, r) for r in (0, 4)] + [bt.repair(t)] == repairs
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,6 +193,7 @@ def test_repair_balances_every_triangle_through_the_root(t, data):
             log_lam = math.log(p[r, u] / p[u, r]) + math.log(p[u, v] / p[v, u])
             log_lam += math.log(p[v, r] / p[r, v])
             assert abs(log_lam) <= bt.TAU + _rounding_slack(p, r, u, v)
+            assert abs(bt.log_triangle_ratio(repaired, bt.Triangle(r, u, v))) <= bt.TAU
 
 
 @settings(max_examples=60, deadline=None)

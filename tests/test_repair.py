@@ -10,6 +10,7 @@ import pytest
 
 import bttest as bt
 from bttest.repair import _l1_objective
+from bttest.tournament import logistic
 from conftest import (
     all_triangles_balanced,
     dense_probs,
@@ -80,11 +81,32 @@ class TestRepairWithRoot:
 
     def test_clamped_balancing_value(self):
         # all cycle weights 1e-7: the balancing odds of 0 -> 1 at root 2 are
-        # about 1e14, past the ceiling 1 - ETA, and must clamp
+        # about 1e14, so 1 -> 0 falls below the floor and must clamp
         t = bt.gen_cyclic(3, 1e-7)
         repaired, report = bt.repair_with_root(t, 2)
-        assert report.clamped == ((0, 1),)
+        assert report.clamped == ((1, 0),)
+        assert report.edits == ((1, 0, 1.0 - 1e-7, bt.ETA),)
         assert repaired.prob(0, 1) == 1.0 - bt.ETA
+
+    def test_pair_already_at_the_floor_is_not_an_edit(self):
+        # the balancing weight of 0 -> 1 is about 1e-13: floored, it is the
+        # stored weight, so the output is the input and the pair only clamps
+        t = bt.new_tournament(3, [(0, 1, bt.ETA), (0, 2, 1e-6), (2, 1, 1e-7)])
+        repaired, report = bt.repair_with_root(t, 2)
+        assert report.edits == ()
+        assert report.clamped == ((0, 1),)
+        assert report.total_change == 0.0
+        assert repaired == t
+
+    def test_large_balancing_weight_is_stored_as_its_small_side(self):
+        # weights (1e-12, 0.5, 0.5) stored high -> low: at root 0 the pair
+        # 2 -> 1 balances at 1 - 1e-12, whose complement would carry about
+        # 1e-4 relative error, so it is stored as 1 -> 2 at 1e-12
+        t = bt.StochasticTournament(3, [1e-12, 0.5, 0.5], [False] * 3)
+        repaired, report = bt.repair_with_root(t, 0)
+        assert report.edits == ((1, 2, 0.5, 1e-12),)
+        assert repaired.low_wins.tolist() == [False, False, True]
+        assert abs(bt.log_triangle_ratio(repaired, bt.Triangle(0, 1, 2))) <= bt.TAU
 
     def test_edit_set_is_the_unbalanced_opposite_edges(self):
         # edited pairs are exactly those whose triangle with the root is
@@ -101,20 +123,20 @@ class TestRepairWithRoot:
         assert edited == expected
 
     def test_edit_list_matches_per_edge_reference(self):
-        # one edge at a time, in pair order and stored orientation, with the
-        # balancing value written as den / (den + num), each probability
-        # one query in the direction it is used
+        # one edge at a time, in pair order: the pair gets log-odds
+        # L[u, r] + L[r, v], each one query, stored as its small side
         def reference(t, r):
             edits = []
-            for u, v, old in t.edges():
+            for u, v, w in t.edges():
                 if r in (u, v):
                     continue
-                num = t.prob(v, r) * t.prob(r, u)
-                den = t.prob(r, v) * t.prob(u, r)
-                if abs(math.log(old / (1.0 - old)) + math.log(num / den)) <= bt.TAU:
+                if abs(t.log_odds(u, v) + t.log_odds(v, r) + t.log_odds(r, u)) <= bt.TAU:
                     continue
-                new = min(max(den / (den + num), bt.ETA), 1.0 - bt.ETA)
-                edits.append((u, v, old, new))
+                ell = t.log_odds(u, r) + t.log_odds(r, v)
+                new = max(float(logistic(-abs(ell))), bt.ETA)
+                x, y, old = (u, v, w) if ell <= 0.0 else (v, u, 1.0 - w)
+                if new != old:
+                    edits.append((x, y, old, new))
             return tuple(edits)
 
         rng = np.random.default_rng(12)
@@ -126,9 +148,9 @@ class TestRepairWithRoot:
                 assert bt.repair_with_root(t, r)[1].edits == reference(t, r)
         assert all(len(bt.repair_with_root(clamping, r)[1].clamped) == 1 for r in range(5))
 
-    def test_balancing_weight_reads_both_directions(self):
+    def test_root_edges_stored_against_the_root_balance_exactly(self):
         # p_02 = 1 - 1e-12 is stored as its complement 2 -> 0, so recomputing
-        # p_20 as 1 - p_02 keeps few digits of 1e-12
+        # p_20 as 1 - p_02 would keep few digits of 1e-12
         t = bt.StochasticTournament(3, [1e-12, 1e-12, 0.3], [False, False, True])
         repaired, report = bt.repair_with_root(t, 0)
         assert report.edits == ((1, 2, 0.3, 0.5),)
@@ -528,6 +550,12 @@ class TestDistanceOracle:
         ]
         np.testing.assert_allclose(_l1_objective(p, phis), expected, rtol=1e-12)
         assert _l1_objective(p, phis[0]) == pytest.approx(expected[0], rel=1e-12)
+
+    def test_budget_validation(self, cyclic3):
+        # a NaN budget would run no line search and skip the refinement
+        for budget in (-1, float("nan")):
+            with pytest.raises(bt.ParameterOutOfRangeError):
+                bt.l1_distance_oracle(cyclic3, budget=budget)
 
     def test_budget_zero_still_bracketed(self, cyclic3):
         bounds = bt.l1_distance_oracle(cyclic3, budget=0)

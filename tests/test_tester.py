@@ -239,5 +239,6 @@ class TestEstimateUnbalancedFraction:
         assert abs(est - exact) <= 3.0 * se
 
     def test_validation(self, cyclic3):
-        with pytest.raises(bt.ParameterOutOfRangeError):
-            bt.estimate_unbalanced_fraction(cyclic3, 0, 0)
+        for samples in (0, float("nan"), 2.5):
+            with pytest.raises(bt.ParameterOutOfRangeError):
+                bt.estimate_unbalanced_fraction(cyclic3, samples, 0)
