@@ -39,6 +39,7 @@ from .tournament import (
     _is_vertex,
     _potential_residual,
     _real,
+    pair_index,
 )
 
 
@@ -157,18 +158,60 @@ def _disc_components(e):
     return np.sinh(h) / (np.cosh(h) + np.cosh(e - h))
 
 
+def _disc_at(e, pick):
+    """|component| of ``_disc_components(e)`` at the edge ``pick`` chooses:
+    the components share the numerator sinh h and their denominators grow
+    with the gap |e_i - h|, so ``np.minimum`` of the gaps gives the largest
+    and ``np.maximum`` the smallest, with the same bits and 3 transcendentals
+    instead of 5.  ``e`` is a ``(3, k)`` array or a tuple of three arrays."""
+    h = _curl(e)
+    h /= 2
+    # in place from here: a slab's arrays are the kernel's largest
+    gap, g = np.abs(e[0] - h), np.empty_like(h)
+    for ei in (e[1], e[2]):
+        pick(gap, np.abs(np.subtract(ei, h, out=g), out=g), out=gap)
+    denom = np.add(np.cosh(h, out=g), np.cosh(gap, out=gap), out=gap)
+    d = np.abs(np.sinh(h, out=h), out=h)
+    d /= denom
+    return d
+
+
+def _disc_max(e):
+    """disc(T): the largest |component|, read at the edge nearest h."""
+    return _disc_at(e, np.minimum)
+
+
+def _disc_min(e):
+    """The cheapest single-edge fix: the smallest |component|, read at the
+    edge farthest from h."""
+    return _disc_at(e, np.maximum)
+
+
 def enumerate_triangles(n: int) -> Iterator[Triangle]:
     """All C(n, 3) triangles in lexicographic order."""
     for x, y, z in combinations(range(n), 3):
         yield Triangle(x, y, z)
 
 
-def _triangle_slabs(n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Every triangle x < y < z as one slab ``(x, ys, zs)`` per x, in
-    lexicographic order; working memory is O(n^2) per slab."""
+def _triangle_slabs(
+    ell: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> Iterator[tuple[int, int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Every triangle x < y < z of the log-odds matrix ``ell`` as one slab
+    ``(x, s, e)`` per x, in lexicographic order; ``lo, hi`` is the pair
+    list ``np.triu_indices(n, 1)``.
+
+    The pairs y < z above x are the suffix of the pair list that starts at
+    ``s = pair_index(n, x + 1, x + 2)``, and ``e = (L_xy, L_yz, L_zx)`` is
+    read over them as ``row[ys]``, ``upper[s:]`` and ``-row[zs]`` with
+    ``row = ell[x]`` and ``upper = ell[lo, hi]`` gathered once; ``-L_xz``
+    is ``L_zx`` bit for bit because ``ell`` is exactly skew.  Working memory
+    is O(n^2)."""
+    n = ell.shape[0]
+    upper = ell[lo, hi]
     for x in range(n - 2):
-        ys, zs = np.triu_indices(n - x - 1, k=1)
-        yield x, ys + (x + 1), zs + (x + 1)
+        s = pair_index(n, x + 1, x + 2)
+        row = ell[x]
+        yield x, s, (row[lo[s:]], upper[s:], -row[hi[s:]])
 
 
 def _edge_log_odds(ell: np.ndarray, x, y, z) -> np.ndarray:
@@ -193,21 +236,27 @@ class TotalDiscrepancy:
 
 def total_discrepancy(t: StochasticTournament) -> TotalDiscrepancy:
     """Exhaustive O(n^3) discrepancy sums over the log-odds matrix, one
-    slab (every y < z above a fixed x) at a time in O(n^2) working memory.
+    slab (every pair y < z above a fixed x, a suffix of the pair list) at
+    a time in O(n^2) working memory.
 
-    ``total`` is ``math.fsum`` over the per-slab ``np.sum`` partials;
-    ``per_root`` adds each slab into its three vertices with
-    ``np.bincount``.  The same input always gives bit-identical sums.
+    ``total`` is ``math.fsum`` over the per-slab ``np.sum`` partials.
+    ``per_root`` gets each partial at its slab's x; one accumulator over
+    the pairs gathers every slab's disc(T) at its pair {y, z}, and two
+    ``np.bincount`` calls add it into y and z at the end.  The same input
+    always gives bit-identical sums.
     """
     ell = t.log_odds_matrix()
+    lo, hi = np.triu_indices(t.n, k=1)
     partials = []
     per_root = np.zeros(t.n)
-    for x, ys, zs in _triangle_slabs(t.n):
-        d = np.abs(_disc_components(_edge_log_odds(ell, x, ys, zs))).max(axis=0)
+    acc = np.zeros(lo.size)
+    for x, s, e in _triangle_slabs(ell, lo, hi):
+        d = _disc_max(e)
         partials.append(float(np.sum(d)))
         per_root[x] += partials[-1]
-        per_root += np.bincount(ys, weights=d, minlength=t.n)
-        per_root += np.bincount(zs, weights=d, minlength=t.n)
+        acc[s:] += d
+    per_root += np.bincount(lo, weights=acc, minlength=t.n)
+    per_root += np.bincount(hi, weights=acc, minlength=t.n)
     return TotalDiscrepancy(math.fsum(partials), per_root)
 
 

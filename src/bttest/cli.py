@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (TournamentError, OSError, ValueError) as exc:
+    except (TournamentError, OSError, ValueError, MemoryError) as exc:
         print(f"bttest: error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,8 @@ import numpy as np
 from .balance import (
     TreeWeights,
     _curl,
-    _disc_components,
+    _disc_max,
+    _disc_min,
     _edge_log_odds,
     _tree_potential,
     _triangle_slabs,
@@ -115,7 +116,7 @@ def repair_with_root(
     low_wins[idx[edit]] = (x < y)[edit]
     repaired = StochasticTournament(t.n, weights, low_wins)
     # every |edit| must stay within the discrepancy of its triangle
-    disc = np.abs(_disc_components(e)).max(axis=0)
+    disc = _disc_max(e)
     change = np.abs(new - old)
     return repaired, RepairReport(
         root=r,
@@ -229,11 +230,8 @@ def check_seven_eps(
             f"(t, pi) is not {eps}-approximately reversible"
         )
     bound = math.log1p(7.0 * eps)
-    ell = t.log_odds_matrix()
-    return all(
-        np.all(np.abs(_curl(_edge_log_odds(ell, x, ys, zs))) <= bound)
-        for x, ys, zs in _triangle_slabs(t.n)
-    )
+    slabs = _triangle_slabs(t.log_odds_matrix(), *np.triu_indices(t.n, k=1))
+    return all(np.all(np.abs(_curl(e)) <= bound) for _, _, e in slabs)
 
 
 def extend_tree(tw: TreeWeights) -> StochasticTournament:
@@ -373,8 +371,7 @@ def l1_distance_oracle(t: StochasticTournament, budget: int = 200) -> DistanceBo
     upper = min(upper, best)
 
     lower = 0.0
-    for x, ys, zs in _triangle_slabs(t.n):
-        e = _edge_log_odds(ell, x, ys, zs)
-        fixes = np.abs(_disc_components(e)).min(axis=0)[np.abs(_curl(e)) > TAU]
+    for _, _, e in _triangle_slabs(ell, *np.triu_indices(t.n, k=1)):
+        fixes = _disc_min(e)[np.abs(_curl(e)) > TAU]
         lower = max(lower, float(fixes.max(initial=0.0)))
     return DistanceBounds(upper=upper, lower=min(lower, upper))

@@ -181,8 +181,13 @@ class StochasticTournament:
         # a float index array passes the range test, so only ints skip the check
         if not (x.dtype.kind == y.dtype.kind == "i"
                 and np.all((0 <= lo) & (lo < hi) & (hi < self.n))):
-            for a, b in np.broadcast(x, y):
+            x, y = np.broadcast_arrays(x, y)
+            # Python values, so that an error names 5 rather than np.int64(5)
+            for a, b in zip(x.ravel().tolist(), y.ravel().tolist()):
                 self._stored(a, b)  # raises on the first bad entry
+            # every entry is a vertex id now, bools included, which do not subtract
+            x, y = x.astype(np.int64), y.astype(np.int64)
+            lo, hi = np.minimum(x, y), np.maximum(x, y)
         i = pair_index(self.n, lo, hi)
         ell = logit(self.weights[i]) * np.where(self.low_wins[i] == (x < y), 1, -1)
         return float(ell) if ell.ndim == 0 else ell

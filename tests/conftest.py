@@ -6,6 +6,7 @@ calling back into the library paths they are used to check.
 """
 
 import heapq
+import math
 from itertools import combinations
 
 import numpy as np
@@ -236,3 +237,24 @@ def reference_new_tournament(n, entries):
         lo, hi = np.triu_indices(n, k=1)
         raise bt.MissingPairError(f"no weight for pair {{{lo[i]}, {hi[i]}}}")
     return bt.StochasticTournament(n, weights, low_wins)
+
+
+def reference_total_discrepancy(t):
+    """(total, per_root) the way the kernel computed them before it read
+    one pair accumulator: per slab, the stacked edge log-odds by 2-D index,
+    all three single-edge components and their largest magnitude, and two
+    ``np.bincount`` calls into the slab's y and z."""
+    ell = t.log_odds_matrix()
+    partials = []
+    per_root = np.zeros(t.n)
+    for x in range(t.n - 2):
+        ys, zs = np.triu_indices(t.n - x - 1, k=1)
+        ys, zs = ys + (x + 1), zs + (x + 1)
+        e = np.stack((ell[x, ys], ell[ys, zs], ell[zs, x]))
+        h = (e[0] + e[1] + e[2]) / 2
+        d = np.abs(np.sinh(h) / (np.cosh(h) + np.cosh(e - h))).max(axis=0)
+        partials.append(float(np.sum(d)))
+        per_root[x] += partials[-1]
+        per_root += np.bincount(ys, weights=d, minlength=t.n)
+        per_root += np.bincount(zs, weights=d, minlength=t.n)
+    return math.fsum(partials), per_root

@@ -1,6 +1,7 @@
 """Triangle/cycle balance, discrepancy, aggregate sums, fundamental cycles."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -167,6 +168,18 @@ class TestTotalDiscrepancy:
             t = bt.gen_random(9, seed)
             td = bt.total_discrepancy(t)
             assert td.per_root.sum() == pytest.approx(3.0 * td.total, rel=1e-12)
+
+    def test_working_memory_is_quadratic(self):
+        # one float per triangle would be C(300, 3) * 8 bytes, about 35.6 MB
+        n = 300
+        t = bt.gen_random(n, 1)
+        tracemalloc.start()
+        try:
+            bt.total_discrepancy(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * n * n
 
     def test_two_calls_deterministic(self):
         t = bt.gen_random(10, 3)

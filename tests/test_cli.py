@@ -205,6 +205,24 @@ class TestGen:
         assert code == 2
         assert "need at least 2 vertices" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_2(self, capsys, tmp_path):
+        # numpy refuses the 35 PiB request before it touches any memory
+        code = main(["gen", "random", "--n", "100000000", "--seed", "1",
+                     "-o", str(tmp_path / "x.bt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bttest: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["repair {f} --root 5 -o {out}", "fit {f} --root 5"])
+def test_vertex_errors_name_python_values(capsys, tmp_path, command):
+    f = tmp_path / "five.bt"
+    f.write_text(bt.serialize_tournament(bt.gen_random(5, 0)))
+    code = main(command.format(f=f, out=tmp_path / "out.bt").split())
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "vertex 5 is not an integer in [0, 5)" in err and "np." not in err
+
 
 class TestExtendTree:
     def test_extension_accepted(self, capsys, tmp_path):

@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 
 import bttest as bt
 from bttest import tester
+from bttest.balance import _disc_components, _disc_max, _disc_min
 from bttest.tournament import logistic, logit
-from conftest import dense_probs, oracle_per_root_sums, reference_triangle
+from conftest import (
+    dense_probs,
+    oracle_per_root_sums,
+    reference_total_discrepancy,
+    reference_triangle,
+)
 
 ETA = bt.ETA
 
@@ -86,6 +92,57 @@ def test_best_root_is_the_lowest_tau_tied_argmin(t):
     slack = 1e-12 * (1.0 + oracle.max())  # the oracle sums in another order
     assert oracle[r] <= oracle.min() + bt.TAU + slack
     assert np.all(oracle[:r] > oracle.min() + bt.TAU - slack)
+
+
+@st.composite
+def floor_tournaments(draw):
+    """Weights only at the floor, its complement and a coin, in random
+    orientations: saturated triangles and exactly balanced ones."""
+    n = draw(st.integers(3, 12))
+    m = n * (n - 1) // 2
+    levels = st.sampled_from([ETA, 2 * ETA, 0.5, 1.0 - 2 * ETA, 1.0 - ETA])
+    weights = draw(st.lists(levels, min_size=m, max_size=m))
+    low_wins = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return bt.StochasticTournament(n, weights, low_wins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    tournaments(max_n=24), floor_tournaments(), near_bt(min_n=3).map(lambda c: c[0]),
+    near_bt(min_n=3, max_noise=0.0).map(lambda c: c[0])))
+def test_total_discrepancy_matches_the_component_reference(t):
+    total, per_root = reference_total_discrepancy(t)
+    td = bt.total_discrepancy(t)
+    assert td.total.hex() == total.hex()
+    np.testing.assert_allclose(td.per_root, per_root, rtol=1e-13, atol=0.0)
+    assert bt.best_root(t) == int(np.argmax(per_root <= per_root.min() + bt.TAU))
+
+
+#: Edge log-odds as the log-odds matrix holds them: anywhere in the band,
+#: often at its ends or at 0.
+log_odds = st.one_of(
+    st.floats(float(logit(ETA)), float(logit(1.0 - ETA))),
+    st.sampled_from([float(logit(ETA)), float(logit(1.0 - ETA)), 0.0, -0.0]))
+
+
+@st.composite
+def triangle_log_odds(draw):
+    """One triangle's (L_xy, L_yz, L_zx): arbitrary, with zero curl, or with
+    two or three edges at the same gap |e_i - h|, in any order."""
+    a, b, c = draw(st.tuples(log_odds, log_odds, log_odds))
+    kind = draw(st.sampled_from(["any", "zero_curl", "tie", "all_equal"]))
+    e = {"any": (a, b, c), "zero_curl": (a, b, -(a + b)),
+         "tie": (a, a, c), "all_equal": (a, a, a)}[kind]
+    return draw(st.permutations(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(triangle_log_odds(), min_size=1, max_size=20))
+def test_disc_extremes_are_the_component_extremes(columns):
+    e = np.array(columns).T
+    components = np.abs(_disc_components(e))
+    assert _disc_max(e).tobytes() == components.max(axis=0).tobytes()
+    assert _disc_min(e).tobytes() == components.min(axis=0).tobytes()
 
 
 class _LogOddsOnly:

@@ -442,8 +442,11 @@ class TestArrayReads:
             assert bt.scores_from_root(t, r).tobytes() == expected.tobytes()
 
     def test_array_errors_match_the_scalar_ones(self, cyclic3):
-        with pytest.raises(bt.VertexOutOfRangeError):
+        # the message names the Python value, not np.int64(3)
+        with pytest.raises(bt.VertexOutOfRangeError, match=r"^vertex 3 is"):
             cyclic3.log_odds(np.array([0, 1, 3]), np.array([1, 2, 0]))
+        with pytest.raises(bt.VertexOutOfRangeError, match=r"^vertex 1\.0 is"):
+            cyclic3.log_odds(np.array([1.0]), np.array([2]))
         with pytest.raises(bt.VertexOutOfRangeError):
             cyclic3.log_odds(np.array([0, -1]), np.array([1, 2]))
         with pytest.raises(bt.SelfLoopError):
@@ -456,3 +459,8 @@ class TestArrayReads:
             cyclic3.log_odds(1, 1)
         with pytest.raises(bt.VertexOutOfRangeError):
             bt.scores_from_root(cyclic3, 3)
+
+    def test_bool_arrays_read_as_vertices_0_and_1(self, cyclic3):
+        # a bool is an int, as for prob(True, False)
+        assert cyclic3.log_odds(np.array([True]), np.array([False])).tolist() == [
+            cyclic3.log_odds(1, 0)]
