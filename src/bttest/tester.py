@@ -14,9 +14,10 @@ drives the false-accept probability below delta.  The tester reads only
 ``n`` and ``log_odds`` over index arrays (the pair oracle): 3k edges on an
 accept, 3 on a reject at the first sample and fewer than 6i at sample i.
 
-Randomness comes from numpy's PCG64 generator (``numpy.random.default_rng``),
-which is seedable and deterministic across platforms; reports should carry
-:data:`bttest.tournament.RNG_ALGORITHM` alongside the seed.
+Randomness comes from numpy's PCG64 generator (the ``Generator`` that
+``numpy.random.default_rng`` returns), which is seedable and deterministic
+across platforms; a seed is an integer >= 0, and reports should carry
+:data:`bttest.tournament.RNG_ALGORITHM` alongside it.
 """
 
 from __future__ import annotations
@@ -29,12 +30,17 @@ import numpy as np
 
 from .balance import Triangle, log_triangle_ratio
 from .errors import ParameterOutOfRangeError, TooFewVerticesError
-from .tournament import _INTEGER, TAU, StochasticTournament
+from .tournament import _INTEGER, TAU, StochasticTournament, _check_seed, _rng
 
-_FY_LOWS = np.arange(3)
-
-#: Triangles drawn per call into the generator; bounds the tester's memory.
+#: Triangles per chunk at most; bounds the tester's memory.
 _CHUNK = 1024
+
+#: Chunks below this size, after the first, share one generator call.
+_BLOCK = 128
+
+#: Lower bounds of the three Fisher-Yates draws, one row per triangle: an
+#: ``integers`` call given the lows in full skips broadcasting them to a size.
+_FY_LOWS = np.tile(np.arange(3), (_CHUNK, 1))
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,9 @@ class TesterConfig:
 
     ``eps`` is the farness parameter, ``delta`` the allowed probability of
     accepting a far input (1/3 gives the classical 2/3 success bound), and
-    ``seed`` the RNG seed.  A triangle passes when |log lambda| <= ``TAU``;
-    setting ``eps_balance`` switches to the multiplicative eps-balanced
-    form, |log lambda| <= log1p(eps_balance).
+    ``seed`` the RNG seed, an integer >= 0.  A triangle passes when
+    |log lambda| <= ``TAU``; setting ``eps_balance`` switches to the
+    multiplicative eps-balanced form, |log lambda| <= log1p(eps_balance).
     """
 
     eps: float
@@ -55,6 +61,7 @@ class TesterConfig:
 
     def __post_init__(self):
         sample_size(self.eps, self.delta)  # raises on an eps or delta outside (0, 1)
+        _check_seed(self.seed)
         if self.eps_balance is not None and not self.eps_balance > 0.0:  # NaN too
             raise ParameterOutOfRangeError(
                 f"eps_balance must be > 0, got {self.eps_balance}"
@@ -109,18 +116,36 @@ def sample_triangle(rng: np.random.Generator, n: int) -> Triangle:
 
 def _triangles(rng, n: int, k: int, c: int = 1) -> Iterator[np.ndarray]:
     """``k`` triangles as ``sample_triangle`` draws them, in sorted ``(c, 3)``
-    arrays, ``c`` doubling up to ``_CHUNK``; equal to one ``integers`` draw."""
+    chunks, ``c`` doubling up to ``_CHUNK``.
+
+    One ``integers`` call and one shuffle serve a block of chunks, each chunk
+    a slice of it: the first chunk alone (a reject at sample 1 draws no
+    more), then the chunks below ``_BLOCK`` together, then one block per
+    chunk.  PCG64's bounded draws do not depend on how they are split, so
+    every split gives the triangles of one ``integers`` draw.
+    """
+    first = True
     while k > 0:
-        d = rng.integers(_FY_LOWS, n, size=(min(c, k), 3))
+        sizes = []
+        while k > 0 and (not sizes or (not first and c < _BLOCK)):
+            sizes.append(min(c, k))
+            k, c = k - sizes[-1], min(2 * c, _CHUNK)
+        first = False
+        d = rng.integers(_FY_LOWS[: sum(sizes)], n)
         # partial Fisher-Yates on the identity array: position i swaps with
-        # position d_i >= i; positions 1, 2 then hold c1, c2
-        d0, d1, d2 = d.T
-        c2 = np.where(d2 == d1, d0 != 1, np.where(d2 == d0, 0, d2))
-        d1[d1 == d0] = 0
-        d2[:] = c2
+        # position d_i >= i.  c1 is d1, or 0 where d1 hit d0; c2 is d2, or 0
+        # where d2 hit d0, or where d2 hit d1 what position 1 held: 0 if d0
+        # took it, else 1
+        d0, d1, d2 = d[:, 0], d[:, 1], d[:, 2]
+        at1 = d2 == d1
+        d2 *= d2 != d0
+        np.copyto(d2, d0 != 1, where=at1)
+        d1 *= d1 != d0
         d.sort(axis=1)
-        yield d
-        k, c = k - len(d), min(2 * c, _CHUNK)
+        end = 0
+        for size in sizes:
+            yield d[end : end + size]
+            end += size
 
 
 def test_bt(t: StochasticTournament, cfg: TesterConfig) -> TestVerdict:
@@ -137,7 +162,7 @@ def test_bt(t: StochasticTournament, cfg: TesterConfig) -> TestVerdict:
     k = sample_size(cfg.eps, cfg.delta)
     bound = TAU if cfg.eps_balance is None else math.log1p(cfg.eps_balance)
     used = 0
-    for tri in _triangles(np.random.default_rng(cfg.seed), t.n, k):
+    for tri in _triangles(_rng(cfg.seed), t.n, k):
         bad = abs(log_triangle_ratio(t, tri)) > bound
         if bad.any():
             i = int(np.argmax(bad))
@@ -158,8 +183,8 @@ def estimate_unbalanced_fraction(
     """
     if t.n < 3:
         raise TooFewVerticesError(f"need n >= 3, got n={t.n}")
-    if not (isinstance(samples, _INTEGER) and samples >= 1):
+    if isinstance(samples, bool) or not (isinstance(samples, _INTEGER) and samples >= 1):
         raise ParameterOutOfRangeError(f"samples must be an integer >= 1, got {samples}")
-    chunks = _triangles(np.random.default_rng(seed), t.n, samples, _CHUNK)
+    chunks = _triangles(_rng(seed), t.n, samples, _CHUNK)
     bad = sum(np.count_nonzero(abs(log_triangle_ratio(t, c)) > TAU) for c in chunks)
     return bad / samples

@@ -47,10 +47,30 @@ RNG_ALGORITHM = "numpy-pcg64"
 #: Types a vertex id may have, built once rather than on every check.
 _INTEGER = (int, np.integer)
 
+#: The index dtype of the ``log_odds`` fast path.
+_INT64 = np.dtype(np.int64)
+
+
+def _check_seed(seed) -> None:
+    """The one rule for a seed: an ``int`` or numpy integer >= 0, not a bool.
+    None is refused too, since it would draw OS entropy and the run could
+    not be repeated."""
+    if isinstance(seed, bool) or not (isinstance(seed, _INTEGER) and seed >= 0):
+        raise ParameterOutOfRangeError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+def _rng(seed) -> np.random.Generator:
+    """The PCG64 generator of a seed that passes :func:`_check_seed`: what
+    ``np.random.default_rng(seed)`` returns, built in half its time."""
+    _check_seed(seed)
+    return np.random.Generator(np.random.PCG64(seed))
+
 
 def pair_index(n: int, x, y):
-    """Lexicographic position of the unordered pair {x, y}, x < y; elementwise."""
-    return x * (2 * n - x - 1) // 2 + (y - x - 1)
+    """Lexicographic position of the unordered pair {x, y}, x < y; elementwise
+    over integers.  ``x(2n - x - 1)/2 + (y - x - 1)``, with the ``- x`` taken
+    into the product and the halving done as a shift."""
+    return (x * (2 * n - 3 - x) >> 1) + y - 1
 
 
 def _is_vertex(v, n: int) -> bool:
@@ -175,22 +195,29 @@ class StochasticTournament:
         """``log(p_xy / p_yx)`` from the stored weight, one edge query per entry
         of equal-shape index arrays, a float for two ints; exactly skew."""
         x, y = np.asarray(x), np.asarray(y)
-        if x.dtype.kind == "u" or y.dtype.kind == "u":  # uint64 with int64 gives float64
-            x, y = np.asarray(x.tolist()), np.asarray(y.tolist())
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
-        # a float index array passes the range test, so only ints skip the check
-        if not (x.dtype.kind == y.dtype.kind == "i"
-                and np.all((0 <= lo) & (lo < hi) & (hi < self.n))):
-            x, y = np.broadcast_arrays(x, y)
-            # Python values, so that an error names 5 rather than np.int64(5)
-            for a, b in zip(x.ravel().tolist(), y.ravel().tolist()):
-                self._stored(a, b)  # raises on the first bad entry
-            # every entry is a vertex id now, bools included, which do not subtract
-            x, y = x.astype(np.int64), y.astype(np.int64)
+        if x.dtype != _INT64 or y.dtype != _INT64:
+            # integers of another width or sign read as int64 when every entry
+            # is a vertex; anything else goes through the per-entry check below
+            if (x.dtype.kind in "iu" and y.dtype.kind in "iu"
+                    and _vertices(x, self.n).all() and _vertices(y, self.n).all()):
+                x, y = x.astype(np.int64), y.astype(np.int64)
+        if x.dtype == _INT64 == y.dtype:
             lo, hi = np.minimum(x, y), np.maximum(x, y)
-        i = pair_index(self.n, lo, hi)
-        ell = logit(self.weights[i]) * np.where(self.low_wins[i] == (x < y), 1, -1)
-        return float(ell) if ell.ndim == 0 else ell
+            # as unsigned, a negative id lies past n: 0 <= lo < hi < n in two tests
+            ulo, uhi = lo.view(np.uint64), hi.view(np.uint64)
+            if ((ulo < uhi) & (uhi < self.n)).all():
+                i = pair_index(self.n, lo, hi)
+                ell = logit(self.weights[i])
+                ell = np.where(self.low_wins[i] == (x < y), ell, -ell)
+                return float(ell) if ell.ndim == 0 else ell
+        # a bad entry, or no integer dtype: each entry through the vertex rule
+        # before any arithmetic on it, so text or None raises the library error
+        x, y = np.broadcast_arrays(x, y)
+        # Python values, so that an error names 5 rather than np.int64(5)
+        for a, b in zip(x.ravel().tolist(), y.ravel().tolist()):
+            self._stored(a, b)  # raises on the first bad entry
+        # every entry is a vertex id now, bools included, which do not subtract
+        return self.log_odds(x.astype(np.int64), y.astype(np.int64))
 
     def _oriented(self) -> tuple[np.ndarray, np.ndarray]:
         """Tail and head ``(u, v)`` of every present edge u -> v, pairs in
@@ -253,7 +280,8 @@ def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _vertices(v: np.ndarray, n: int) -> np.ndarray:
-    """:func:`_is_vertex` of every entry of a column."""
+    """:func:`_is_vertex` of every entry of a column, or of an integer array
+    of any shape."""
     if v.dtype.kind in "iu":
         return (0 <= v) & (v < n)
     return np.fromiter((_is_vertex(a, n) for a in v), bool, len(v))
@@ -403,8 +431,7 @@ def gen_perturbed(
     weight, clamping into [ETA, 1 - ETA].  Pure function of (base, noise, seed)."""
     if not 0.0 <= noise < 0.5:
         raise ParameterOutOfRangeError(f"noise must be in [0, 0.5), got {noise}")
-    rng = np.random.default_rng(seed)
-    delta = rng.uniform(-noise, noise, size=base.weights.size)
+    delta = _rng(seed).uniform(-noise, noise, size=base.weights.size)
     weights = np.clip(base.weights + delta, ETA, 1.0 - ETA)
     return StochasticTournament(base.n, weights, base.low_wins)
 
@@ -413,8 +440,7 @@ def gen_random(n: int, seed: int) -> StochasticTournament:
     """Every present-edge weight drawn uniformly from [ETA, 1 - ETA];
     edges oriented low id -> high id.  Pure function of (n, seed)."""
     m = n * (n - 1) // 2
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(ETA, 1.0 - ETA, size=m)
+    weights = _rng(seed).uniform(ETA, 1.0 - ETA, size=m)
     return StochasticTournament(n, weights, np.ones(m, dtype=bool))
 
 

@@ -258,3 +258,68 @@ def reference_total_discrepancy(t):
         per_root += np.bincount(ys, weights=d, minlength=t.n)
         per_root += np.bincount(zs, weights=d, minlength=t.n)
     return math.fsum(partials), per_root
+
+
+def reference_triangles(rng, n, k, c=1):
+    """``tester._triangles`` as it drew before block draws: one ``integers``
+    call, with the lows broadcast to a size, per chunk of c, 2c, 4c, ... up
+    to 1024 triangles, each shuffled through two ``np.where`` calls."""
+    while k > 0:
+        d = rng.integers(np.arange(3), n, size=(min(c, k), 3))
+        d0, d1, d2 = d.T
+        c2 = np.where(d2 == d1, d0 != 1, np.where(d2 == d0, 0, d2))
+        d1[d1 == d0] = 0
+        d2[:] = c2
+        d.sort(axis=1)
+        yield d
+        k, c = k - len(d), min(2 * c, 1024)
+
+
+def reference_log_odds(t, x, y):
+    """``StochasticTournament.log_odds`` as it read before the lean fast
+    path: min and max, a range test under ``np.all``, the pair index by
+    ``// 2`` and the sign as a multiplier."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype.kind == "u" or y.dtype.kind == "u":
+        x, y = np.asarray(x.tolist()), np.asarray(y.tolist())
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    if not (x.dtype.kind == y.dtype.kind == "i"
+            and np.all((0 <= lo) & (lo < hi) & (hi < t.n))):
+        x, y = np.broadcast_arrays(x, y)
+        for a, b in zip(x.ravel().tolist(), y.ravel().tolist()):
+            t.prob(a, b)  # raises on the first bad entry
+        x, y = x.astype(np.int64), y.astype(np.int64)
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+    i = lo * (2 * t.n - lo - 1) // 2 + (hi - lo - 1)
+    ell = np.log(t.weights[i] / (1.0 - t.weights[i]))
+    ell = ell * np.where(t.low_wins[i] == (x < y), 1, -1)
+    return float(ell) if ell.ndim == 0 else ell
+
+
+def _reference_curl(t, tri):
+    """log lambda of each sorted triangle row, summed in the order
+    ``log_triangle_ratio`` sums it."""
+    e = reference_log_odds(t, tri, tri.take([1, 2, 0], axis=-1))
+    return e[:, 0] + e[:, 1] + e[:, 2]
+
+
+def reference_test_bt(t, cfg):
+    """``test_bt`` as it ran before block draws, on ``reference_triangles``
+    and ``reference_log_odds``: (outcome, witness, samples_used, queries)."""
+    k = bt.sample_size(cfg.eps, cfg.delta)
+    bound = bt.TAU if cfg.eps_balance is None else math.log1p(cfg.eps_balance)
+    used = 0
+    for tri in reference_triangles(np.random.default_rng(cfg.seed), t.n, k):
+        bad = np.abs(_reference_curl(t, tri)) > bound
+        if bad.any():
+            i = int(np.argmax(bad))
+            return "reject", tuple(tri[i].tolist()), used + i + 1, 3 * (used + len(tri))
+        used += len(tri)
+    return "accept", None, k, 3 * k
+
+
+def reference_estimate(t, samples, seed):
+    """``estimate_unbalanced_fraction`` as it ran before block draws."""
+    chunks = reference_triangles(np.random.default_rng(seed), t.n, samples, 1024)
+    bad = sum(np.count_nonzero(np.abs(_reference_curl(t, c)) > bt.TAU) for c in chunks)
+    return bad / samples

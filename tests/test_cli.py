@@ -251,6 +251,22 @@ class TestDistance:
         assert code == 2
 
 
+def test_back_to_back_calls_leak_no_options(capsys, bt_file):
+    # main reuses one parser; no option given in one call reaches the next
+    run(capsys, "fit", bt_file, "--root", "1")
+    _, report = run(capsys, "fit", bt_file)
+    assert report["config"]["method"] == "least-squares"
+    run(capsys, "test", bt_file, "--eps", "0.5", "--eps-balance", "0.1")
+    _, report = run(capsys, "test", bt_file, "--eps", "0.5")
+    assert report["config"]["eps_balance"] is None
+
+
+def test_negative_seed_exits_2(capsys, bt_file, tmp_path):
+    assert main(["test", bt_file, "--eps", "0.5", "--seed", "-1"]) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert main(["gen", "random", "--n", "4", "--seed", "-1", "-o", str(tmp_path / "r.bt")]) == 2
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

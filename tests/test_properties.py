@@ -16,8 +16,12 @@ from bttest.tournament import logistic, logit
 from conftest import (
     dense_probs,
     oracle_per_root_sums,
+    reference_estimate,
+    reference_log_odds,
+    reference_test_bt,
     reference_total_discrepancy,
     reference_triangle,
+    reference_triangles,
 )
 
 ETA = bt.ETA
@@ -447,3 +451,78 @@ def test_equivalence_circle(case, eps, seed, data):
     assert not bt.check_reversible(
         moved, bt.scores_to_stationary(bt.fit_scores_least_squares(moved))
     )
+
+
+# -- block draws and the lean log_odds read against the per-chunk reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 2**33), st.integers(1, 3000), st.integers(1, tester._CHUNK), seeds)
+def test_block_draws_give_the_reference_chunks(n, k, c, seed):
+    got = [tri.tolist() for tri in tester._triangles(np.random.default_rng(seed), n, k, c)]
+    want = [tri.tolist() for tri in reference_triangles(np.random.default_rng(seed), n, k, c)]
+    assert got == want
+
+
+@st.composite
+def verdict_inputs(draw):
+    """Random weights, or a perturbed exact model, a cyclic tournament or
+    one whose weights sit at the floor and the fair coin."""
+    kind = draw(st.sampled_from(["random", "perturbed", "cyclic", "floor"]))
+    if kind == "random":
+        return draw(tournaments())
+    n = draw(st.integers(3, 40))
+    if kind == "perturbed":
+        scores = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        return bt.gen_perturbed(bt.gen_bt(scores), draw(st.floats(0.0, 0.3)),
+                                draw(st.integers(0, 2**32 - 1)))
+    if kind == "cyclic":
+        return bt.gen_cyclic(n, draw(weight))
+    m = n * (n - 1) // 2
+    weights = draw(st.lists(st.sampled_from([ETA, 0.5, 1.0 - ETA]), min_size=m, max_size=m))
+    low_wins = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return bt.StochasticTournament(n, weights, low_wins)
+
+
+@settings(max_examples=100, deadline=None)
+@given(verdict_inputs(), tester_eps, seeds, st.none() | st.floats(1e-9, 2.0))
+def test_tester_verdicts_match_the_per_chunk_reference(t, eps, seed, eps_balance):
+    cfg = bt.TesterConfig(eps=eps, seed=seed, eps_balance=eps_balance)
+    v = bt.test_bt(t, cfg)
+    witness = v.witness.vertices() if v.witness else None
+    assert (v.outcome, witness, v.samples_used, v.queries) == reference_test_bt(t, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(verdict_inputs(), st.integers(1, 2500), seeds)
+def test_estimate_matches_the_per_chunk_reference(t, samples, seed):
+    assert bt.estimate_unbalanced_fraction(t, samples, seed) == reference_estimate(
+        t, samples, seed)
+
+
+#: Index dtypes ``log_odds`` reads; "python" gives plain ints (0-d only).
+index_dtypes = st.sampled_from(["int64", "int32", "uint64", "uint8", "bool", "object"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tournaments(), st.sampled_from([(), (0,), (1,), (7,), (4, 3), (0, 3)]),
+       index_dtypes, index_dtypes, st.booleans(), st.data())
+def test_log_odds_matches_the_reference_bit_for_bit(t, shape, dx, dy, python, data):
+    top = 1 if "bool" in (dx, dy) else t.n - 1
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, top), st.integers(0, top)).filter(lambda p: p[0] != p[1]),
+        min_size=math.prod(shape), max_size=math.prod(shape)))
+    xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
+    if shape == () and python:
+        x, y = xs[0], ys[0]
+    else:
+        x, y = np.array(xs, dtype=dx).reshape(shape), np.array(ys, dtype=dy).reshape(shape)
+    got, want = t.log_odds(x, y), reference_log_odds(t, x, y)
+    assert type(got) is type(want)
+    if shape == ():
+        assert got.hex() == want.hex()
+        return
+    assert got.shape == shape
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    if got.size:  # the reference read an empty unsigned array as shape (0,)
+        assert want.shape == shape

@@ -39,6 +39,18 @@ class TestSampleSize:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True, np.int64(-3), "1"])
+    def test_seed_checked_where_given(self, seed):
+        # numpy would refuse -1 only inside test_bt, and draw OS entropy for None
+        with pytest.raises(bt.ParameterOutOfRangeError, match="seed"):
+            bt.TesterConfig(eps=0.5, seed=seed)
+
+    def test_numpy_integer_seeds_accepted(self, cyclic3):
+        expected = bt.test_bt(cyclic3, bt.TesterConfig(eps=0.5, seed=3))
+        for seed in (np.int64(3), np.uint64(3), np.uint8(3)):
+            assert bt.test_bt(cyclic3, bt.TesterConfig(eps=0.5, seed=seed)) == expected
+        assert bt.test_bt(cyclic3, bt.TesterConfig(eps=0.5, seed=2**70)).samples_used == 1
+
     def test_validation(self):
         with pytest.raises(bt.ParameterOutOfRangeError):
             bt.TesterConfig(eps=1.5)
@@ -212,6 +224,38 @@ class TestBoundedSampling:
             assert max(len(tri) for tri in got) == tester._CHUNK
             assert [tuple(row) for tri in got for row in tri.tolist()] == expected
 
+    @pytest.mark.parametrize("eps, calls", [(0.1, 2), (0.01, 2), (1e-3, 6)])
+    def test_generator_calls_per_accept(self, monkeypatch, eps, calls):
+        # k = 11, 110, 1099: chunk 1 alone, chunks 2-64 in one call, then one per chunk
+        draws = self._count_draws(monkeypatch)
+        t = bt.gen_bt(np.linspace(1.0, 3.0, 100))
+        assert bt.test_bt(t, bt.TesterConfig(eps=eps, seed=2)).accepted
+        assert len(draws) == calls
+        assert sum(d[0] for d in draws) == bt.sample_size(eps)
+
+    def test_reject_at_sample_one_draws_one_triangle(self, monkeypatch, cyclic3):
+        draws = self._count_draws(monkeypatch)
+        verdict = bt.test_bt(cyclic3, bt.TesterConfig(eps=1e-3, seed=0))
+        assert verdict.samples_used == 1
+        assert draws == [(1, 3)]
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        """The shapes of the ``integers`` calls the tester's generator gets."""
+        draws = []
+
+        class Counting:
+            def __init__(self, seed):
+                self._rng = np.random.default_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                out = self._rng.integers(*args, **kwargs)
+                draws.append(out.shape)
+                return out
+
+        monkeypatch.setattr(tester, "_rng", Counting)
+        return draws
+
     def test_memory_does_not_grow_with_sample_size(self):
         t = bt.gen_cyclic(50, 0.9)
         tracemalloc.start()
@@ -239,6 +283,11 @@ class TestEstimateUnbalancedFraction:
         assert abs(est - exact) <= 3.0 * se
 
     def test_validation(self, cyclic3):
-        for samples in (0, float("nan"), 2.5):
+        for samples in (0, float("nan"), 2.5, True):
             with pytest.raises(bt.ParameterOutOfRangeError):
                 bt.estimate_unbalanced_fraction(cyclic3, samples, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, False])
+    def test_seed_validation(self, cyclic3, seed):
+        with pytest.raises(bt.ParameterOutOfRangeError, match="seed"):
+            bt.estimate_unbalanced_fraction(cyclic3, 10, seed)

@@ -345,6 +345,14 @@ class TestGenerators:
         assert bt.gen_random(12, 5) == bt.gen_random(12, 5)
         assert bt.gen_random(12, 5) != bt.gen_random(12, 6)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+    def test_seed_checked_where_given(self, cyclic3, seed):
+        # None would draw OS entropy; numpy would raise its own error for the rest
+        with pytest.raises(bt.ParameterOutOfRangeError, match="seed"):
+            bt.gen_random(4, seed)
+        with pytest.raises(bt.ParameterOutOfRangeError, match="seed"):
+            bt.gen_perturbed(cyclic3, 0.1, seed)
+
     def test_random_weights_in_band(self):
         t = bt.gen_random(20, 0)
         assert np.all(t.weights >= bt.ETA)
@@ -455,10 +463,38 @@ class TestArrayReads:
             cyclic3.log_odds(0, 3)
         with pytest.raises(bt.VertexOutOfRangeError):
             cyclic3.log_odds(2**70, 0)
+        with pytest.raises(bt.VertexOutOfRangeError, match=r"^vertex 18446744073709551615 is"):
+            cyclic3.log_odds(np.array([2**64 - 1], dtype=np.uint64), np.array([0]))
         with pytest.raises(bt.SelfLoopError):
             cyclic3.log_odds(1, 1)
         with pytest.raises(bt.VertexOutOfRangeError):
             bt.scores_from_root(cyclic3, 3)
+
+    @pytest.mark.parametrize("index", [
+        "a", b"a", None, np.array(["a", 1], dtype=object), np.array([None, 0]),
+        np.array(["0"]),
+    ], ids=["str", "bytes", "None", "object-str", "object-None", "str-array"])
+    def test_non_integer_index_refused_before_arithmetic(self, cyclic3, index):
+        # numpy's min or compare would raise its own TypeError first
+        with pytest.raises(bt.VertexOutOfRangeError):
+            cyclic3.log_odds(index, np.ones(np.shape(index), dtype=np.int64))
+        with pytest.raises(bt.VertexOutOfRangeError):
+            cyclic3.log_odds(1, index)
+
+    def test_object_arrays_of_ints_read_like_int64(self, cyclic3):
+        x, y = [0, 2, 1], [1, 0, 2]
+        got = cyclic3.log_odds(np.array(x, dtype=object), np.array(y, dtype=object))
+        assert got.tobytes() == cyclic3.log_odds(np.array(x), np.array(y)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint16])
+    def test_narrow_integer_indices_read_the_int64_pair(self, dtype):
+        # the pair index of an int8 array used to wrap at n = 12 and raise at n = 100
+        for n in (12, 100):
+            t = bt.gen_random(n, 4)
+            x, y = np.array([n - 2, 3, n - 1]), np.array([n - 1, n - 2, 0])
+            want = t.log_odds(x, y)
+            assert t.log_odds(x.astype(dtype), y.astype(dtype)).tobytes() == want.tobytes()
+            assert t.log_odds(dtype(n - 2), dtype(n - 1)) == want[0]
 
     def test_bool_arrays_read_as_vertices_0_and_1(self, cyclic3):
         # a bool is an int, as for prob(True, False)
