@@ -21,6 +21,7 @@ from ._version import __version__
 from .balance import total_discrepancy
 from .errors import TournamentError
 from .fileio import (
+    _Encoded,
     load_tournament,
     load_tree,
     make_report,
@@ -38,6 +39,12 @@ from .repair import (
 )
 from .tester import TesterConfig, test_bt
 from .tournament import gen_bt, gen_cyclic, gen_random
+
+
+#: One ``repair`` edit ``(x, y, old, new)`` as ``json.dumps`` writes its
+#: ``{"edge": [x, y], "old": old, "new": new}``: ``%r`` of a float is the
+#: text ``json`` writes for it, and weights are finite.
+_EDIT = '{"edge": [%d, %d], "old": %r, "new": %r}'
 
 
 def _emit(command: str, config: dict, result: dict, seed=None) -> None:
@@ -119,10 +126,7 @@ def cmd_repair(args) -> int:
         {"file": args.file, "root": args.root, "output": args.output},
         {
             "root": report.root,
-            "edits": [
-                {"edge": [x, y], "old": old, "new": new}
-                for x, y, old, new in report.edits
-            ],
+            "edits": _Encoded("[" + ", ".join([_EDIT % e for e in report.edits]) + "]"),
             "total_change": report.total_change,
             "per_edge_bound_ok": report.per_edge_bound_ok,
             "clamped": [list(e) for e in report.clamped],

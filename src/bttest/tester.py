@@ -30,7 +30,7 @@ import numpy as np
 
 from .balance import Triangle, log_triangle_ratio
 from .errors import ParameterOutOfRangeError, TooFewVerticesError
-from .tournament import _INTEGER, TAU, StochasticTournament, _check_seed, _rng
+from .tournament import _INTEGER, TAU, StochasticTournament, _check_n, _check_seed, _rng
 
 #: Triangles per chunk at most; bounds the tester's memory.
 _CHUNK = 1024
@@ -109,8 +109,7 @@ def sample_triangle(rng: np.random.Generator, n: int) -> Triangle:
     triple of distinct vertices in O(1) space; dropping the order makes the
     unordered triple exactly uniform.
     """
-    if n < 3:
-        raise TooFewVerticesError(f"a triangle needs n >= 3, got n={n}")
+    n = _check_n(n, 3)
     return Triangle(*next(_triangles(rng, n, 1))[0].tolist())
 
 

@@ -31,6 +31,7 @@ from .errors import (
     OutOfRangeProbabilityError,
     ParameterOutOfRangeError,
     SelfLoopError,
+    TooFewVerticesError,
     VertexOutOfRangeError,
 )
 
@@ -59,6 +60,20 @@ def _check_seed(seed) -> None:
         raise ParameterOutOfRangeError(f"seed must be an integer >= 0, got {seed!r}")
 
 
+def _check_n(n, least: int = 2) -> int:
+    """The one rule for a vertex count: an ``int`` or numpy integer, not a
+    bool, of at least ``least``, returned as an ``int`` so that no count
+    arithmetic wraps in a narrow type.  Below 2 there is no tournament
+    (VertexOutOfRangeError); below a larger ``least`` the operation has too
+    few vertices (TooFewVerticesError)."""
+    if isinstance(n, bool) or not isinstance(n, _INTEGER):
+        raise ParameterOutOfRangeError(f"vertex count must be an integer, got n={n!r}")
+    if n < least:
+        error = VertexOutOfRangeError if least == 2 else TooFewVerticesError
+        raise error(f"need at least {least} vertices, got n={n}")
+    return int(n)
+
+
 def _rng(seed) -> np.random.Generator:
     """The PCG64 generator of a seed that passes :func:`_check_seed`: what
     ``np.random.default_rng(seed)`` returns, built in half its time."""
@@ -69,8 +84,12 @@ def _rng(seed) -> np.random.Generator:
 def pair_index(n: int, x, y):
     """Lexicographic position of the unordered pair {x, y}, x < y; elementwise
     over integers.  ``x(2n - x - 1)/2 + (y - x - 1)``, with the ``- x`` taken
-    into the product and the halving done as a shift."""
-    return (x * (2 * n - 3 - x) >> 1) + y - 1
+    into the product and the halving done as a shift.  Two ``int`` give an
+    ``int``; anything else is computed in int64, and ``n`` as an ``int``, so
+    a narrow integer type does not wrap."""
+    if type(x) is not int or type(y) is not int:
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    return (x * (2 * int(n) - 3 - x) >> 1) + y - 1
 
 
 def _is_vertex(v, n: int) -> bool:
@@ -134,8 +153,7 @@ class StochasticTournament:
     low_wins: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise VertexOutOfRangeError(f"need at least 2 vertices, got n={self.n}")
+        object.__setattr__(self, "n", _check_n(self.n))
         m = self.n * (self.n - 1) // 2
         given = np.asarray(self.weights)
         # private copy: freezing a caller's array in place would be rude
@@ -294,7 +312,8 @@ def new_tournament(
 
     The record direction fixes the present edge: ``p_xy = p`` and
     ``p_yx = 1 - p``.  Every unordered pair must appear exactly once, and
-    every ``p`` must be a real number in ``[ETA, 1 - ETA]``.  The records
+    every ``p`` must be a real number in ``[ETA, 1 - ETA]``.  A vertex
+    count that is not an integer >= 2 raises first.  The records
     are checked as arrays: the first record, in record order, that is a
     self loop, names a vertex outside ``[0, n)`` or repeats an earlier
     pair raises (in that order within a record); then the first missing
@@ -303,9 +322,10 @@ def new_tournament(
 
     Raises
     ------
-    SelfLoopError, VertexOutOfRangeError, DuplicatePairError,
-    MissingPairError, OutOfRangeProbabilityError
+    ParameterOutOfRangeError, SelfLoopError, VertexOutOfRangeError,
+    DuplicatePairError, MissingPairError, OutOfRangeProbabilityError
     """
+    n = _check_n(n)
     x, y, p = _entry_columns(entries)
     loop = x == y
     vertex = _vertices(x, n) & _vertices(y, n)
@@ -325,8 +345,7 @@ def new_tournament(
         if not vertex[i]:
             raise VertexOutOfRangeError(f"entry ({x[i]}, {y[i]}) is not in [0, {n})")
         raise DuplicatePairError(f"pair {{{x[i]}, {y[i]}}} given twice")
-    # below 2 vertices StochasticTournament raises the vertex-count error
-    if n >= 2 and rows.size < n * (n - 1) // 2:
+    if rows.size < n * (n - 1) // 2:
         # pairs present are distinct and sorted: the first missing one is
         # the successor of the last pair where the run (0, 1), (0, 2), ... breaks
         wrap = hi + 1 == n
@@ -411,8 +430,7 @@ def gen_bt(scores: Sequence[float] | np.ndarray) -> StochasticTournament:
 def gen_cyclic(n: int, p: float) -> StochasticTournament:
     """Rock-paper-scissors style tournament: x_i beats x_{i+1 mod n} with
     probability ``p``; all other pairs are fair coins."""
-    if n < 2:
-        raise VertexOutOfRangeError(f"need at least 2 vertices, got n={n}")
+    n = _check_n(n)
     m = n * (n - 1) // 2
     weights = np.full(m, 0.5)
     low_wins = np.ones(m, dtype=bool)
@@ -439,6 +457,7 @@ def gen_perturbed(
 def gen_random(n: int, seed: int) -> StochasticTournament:
     """Every present-edge weight drawn uniformly from [ETA, 1 - ETA];
     edges oriented low id -> high id.  Pure function of (n, seed)."""
+    n = _check_n(n)
     m = n * (n - 1) // 2
     weights = _rng(seed).uniform(ETA, 1.0 - ETA, size=m)
     return StochasticTournament(n, weights, np.ones(m, dtype=bool))

@@ -6,7 +6,9 @@ calling back into the library paths they are used to check.
 """
 
 import heapq
+import json
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -323,3 +325,33 @@ def reference_estimate(t, samples, seed):
     chunks = reference_triangles(np.random.default_rng(seed), t.n, samples, 1024)
     bad = sum(np.count_nonzero(np.abs(_reference_curl(t, c)) > bt.TAU) for c in chunks)
     return bad / samples
+
+
+def mask_timestamp(report_text):
+    """A report's text with the value of its ``timestamp`` field blanked."""
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', report_text)
+
+
+def reference_repair_output(path, root, output):
+    """(stdout, repaired file text) of ``bttest repair path [--root root] -o
+    output`` as the command encoded its report before the edit list was
+    formatted straight from the report's tuples: one dict and one list per
+    edit, then ``json.dumps`` of the whole report."""
+    doc = bt.load_tournament(path)
+    if root is not None:
+        repaired, report = bt.repair_with_root(doc.tournament, root)
+    else:
+        repaired, report = bt.repair(doc.tournament)
+    result = {
+        "root": report.root,
+        "edits": [
+            {"edge": [x, y], "old": old, "new": new}
+            for x, y, old, new in report.edits
+        ],
+        "total_change": report.total_change,
+        "per_edge_bound_ok": report.per_edge_bound_ok,
+        "clamped": [list(e) for e in report.clamped],
+    }
+    config = {"file": path, "root": root, "output": output}
+    stdout = json.dumps(bt.make_report("repair", config, result)) + "\n"
+    return stdout, bt.serialize_tournament(repaired, doc.labels)

@@ -1,15 +1,21 @@
 """CLI subcommands: exit codes, reports, files written."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bttest as bt
 from bttest.cli import main
+from conftest import mask_timestamp, reference_repair_output
 
 
 def run(capsys, *argv):
@@ -148,6 +154,82 @@ class TestRepair:
         _, report = run(capsys, "repair", cyclic_file, "--root", "2", "-o", out)
         assert report["result"]["root"] == 2
         assert report["result"]["edits"][0]["edge"] == [0, 1]
+
+
+def same_text(got, want):
+    """``got == want``, failing with the first difference: pytest's own diff
+    of two long one-line strings takes minutes."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"differ at {i}: {got[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}")
+
+
+class TestRepairReportBytes:
+    """``repair`` stdout (timestamp masked) and the file it writes are the
+    bytes the dict-plus-``json.dumps`` encoder gives."""
+
+    @staticmethod
+    def check(tmp_dir, t, labels=None, root=None):
+        path, out = str(tmp_dir / "in.bt"), str(tmp_dir / "out.bt")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(bt.serialize_tournament(t, labels))
+        argv = ["repair", path, "-o", out]
+        if root is not None:
+            argv[2:2] = ["--root", str(root)]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        with open(out, encoding="utf-8") as f:
+            written = f.read()
+        stdout, text = reference_repair_output(path, root, out)
+        same_text(mask_timestamp(buf.getvalue()), mask_timestamp(stdout))
+        same_text(written, text)
+        return json.loads(stdout)["result"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 8),
+        data=st.data(),
+        labelled=st.booleans(),
+    )
+    def test_matches_the_reference(self, tmp_path_factory, n, data, labelled):
+        m = n * (n - 1) // 2
+        weight = st.sampled_from([bt.ETA, 1e-7, 0.5, 1.0 - 1e-7, 1.0 - bt.ETA]) | st.floats(
+            bt.ETA, 1.0 - bt.ETA)
+        t = bt.StochasticTournament(
+            n,
+            data.draw(st.lists(weight, min_size=m, max_size=m)),
+            data.draw(st.lists(st.booleans(), min_size=m, max_size=m)),
+        )
+        root = data.draw(st.none() | st.integers(0, n - 1))
+        labels = tuple(f"v\u00e9{i}" for i in range(n)) if labelled else None
+        self.check(tmp_path_factory.mktemp("repair"), t, labels, root)
+
+    @pytest.mark.parametrize("root", [None, 0])
+    def test_no_edits(self, tmp_path, root):
+        result = self.check(tmp_path, bt.gen_bt([1.0, 2.0, 4.0, 8.0]), root=root)
+        assert result["edits"] == []
+
+    def test_clamped_pair(self, tmp_path):
+        result = self.check(tmp_path, bt.gen_cyclic(3, 1e-7), root=2)
+        assert result["clamped"] == [[1, 0]] and len(result["edits"]) == 1
+
+    def test_pair_already_at_the_floor(self, tmp_path):
+        t = bt.new_tournament(3, [(0, 1, bt.ETA), (0, 2, 1e-6), (2, 1, 1e-7)])
+        result = self.check(tmp_path, t, root=2)
+        assert result["clamped"] == [[0, 1]] and result["edits"] == []
+
+    def test_labelled_file(self, tmp_path):
+        result = self.check(tmp_path, bt.gen_cyclic(5, 0.9), labels=tuple("abcde"))
+        assert result["edits"]
+
+    @pytest.mark.parametrize("root", [None, 250])
+    def test_three_digit_ids(self, tmp_path, root):
+        rng = np.random.default_rng(300)
+        t = bt.gen_perturbed(bt.gen_bt(rng.uniform(0.5, 2.0, 300)), 0.001, 1)
+        result = self.check(tmp_path, t, root=root)
+        assert max(max(e["edge"]) for e in result["edits"]) >= 100
 
 
 class TestFit:

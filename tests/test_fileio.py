@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bttest as bt
 
@@ -217,3 +219,39 @@ class TestReports:
         text = bt.report_json(report)
         assert "\n" not in text
         assert json.loads(text) == report
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {},
+            bt.make_report("disc", {"file": "a.bt"}, {"total": 0.25}),
+            bt.make_report("test", {"eps": 0.1}, {"witness": [0, 1, 2]}, seed=7),
+            bt.make_report(
+                "validate", {"file": "caf\u00e9.bt"},
+                {"valid": True, "labels": ["\u00e9clair", "\u5317\u4eac", "a\"b"]},
+            ),
+            {"seed": None, "nested": {"deeper": {"x": [1.5, None, {"y": {}}]}}},
+            {"": 1e-300, "inf": float("inf"), "nan": float("nan"), "big": 10**30},
+            {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
+        ],
+    )
+    def test_plain_dict_encodes_as_json_dumps(self, report):
+        assert bt.report_json(report) == json.dumps(report)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text() | st.integers() | st.none(), inner, max_size=3),
+            max_leaves=12,
+        ).map(lambda value: {"seed": None, "value": value})
+    )
+    def test_any_plain_dict_encodes_as_json_dumps(self, report):
+        assert bt.report_json(report) == json.dumps(report)
+
+    def test_unsupported_key_is_refused_as_json_dumps_refuses_it(self):
+        with pytest.raises(TypeError):
+            json.dumps({(0, 1): 0.5})
+        with pytest.raises(TypeError):
+            bt.report_json({(0, 1): 0.5})

@@ -389,6 +389,49 @@ def test_pair_index_is_lexicographic():
     assert expected == n * (n - 1) // 2
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8])
+def test_pair_index_does_not_wrap_on_narrow_integers(dtype):
+    n = 20
+    x, y = np.triu_indices(n, k=1)
+    expected = np.arange(n * (n - 1) // 2)
+    assert bt.pair_index(n, dtype(15), dtype(16)) == 180
+    np.testing.assert_array_equal(bt.pair_index(n, x.astype(dtype), y.astype(dtype)), expected)
+    assert bt.pair_index(n, 15, 16) == 180 and type(bt.pair_index(n, 15, 16)) is int
+    assert bt.pair_index(np.uint8(200), 150, 160) == bt.pair_index(200, 150, 160) == 18684
+
+
+class TestVertexCount:
+    @pytest.mark.parametrize("make", [
+        lambda n: bt.gen_random(n, 0),
+        lambda n: bt.gen_cyclic(n, 0.9),
+        lambda n: bt.StochasticTournament(n, [0.5] * 4, [True] * 4),
+        lambda n: bt.new_tournament(n, [(0, 1, 0.5), (0, 2, 0.5), (1, 2, 0.5)]),
+        lambda n: bt.sample_triangle(np.random.default_rng(0), n),
+    ])
+    @pytest.mark.parametrize("n", [3.5, 3.0, "3", None, True, np.float64(4.0)])
+    def test_not_an_integer(self, make, n):
+        with pytest.raises(bt.ParameterOutOfRangeError, match="vertex count must be an integer"):
+            make(n)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: bt.gen_random(n, 0),
+        lambda n: bt.gen_cyclic(n, 0.9),
+        lambda n: bt.StochasticTournament(n, [], []),
+        lambda n: bt.new_tournament(n, []),
+    ])
+    @pytest.mark.parametrize("n", [1, 0, -2, np.int8(1)])
+    def test_below_two_keeps_its_error(self, make, n):
+        with pytest.raises(bt.VertexOutOfRangeError, match="need at least 2 vertices"):
+            make(n)
+
+    def test_numpy_integers_are_counts(self):
+        # n(n - 1)/2 in uint8 would wrap at n = 200
+        assert bt.gen_random(np.uint8(200), 0) == bt.gen_random(200, 0)
+        assert bt.gen_cyclic(np.int16(4), 0.9) == bt.gen_cyclic(4, 0.9)
+        t = bt.StochasticTournament(np.uint8(3), [0.5] * 3, [True] * 3)
+        assert type(t.n) is int
+
+
 def test_dense_probs_matches_queries():
     # prob_matrix must agree bit-for-bit with one-at-a-time queries
     t = bt.gen_random(6, 11)
