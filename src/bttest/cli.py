@@ -47,8 +47,18 @@ from .tournament import gen_bt, gen_cyclic, gen_random
 _EDIT = '{"edge": [%d, %d], "old": %r, "new": %r}'
 
 
+#: Most characters handed to ``sys.stdout`` in one write: ``print`` of a
+#: whole report would encode it into one bytes object as large as the report.
+_SLICE = 1 << 20
+
+
 def _emit(command: str, config: dict, result: dict, seed=None) -> None:
-    print(report_json(make_report(command, config, result, seed)))
+    """Write the report and a newline to stdout, the bytes ``print`` writes,
+    in slices of at most ``_SLICE`` characters."""
+    text = report_json(make_report(command, config, result, seed))
+    for i in range(0, len(text), _SLICE):
+        sys.stdout.write(text[i : i + _SLICE])
+    sys.stdout.write("\n")
 
 
 def _write(path: str, text: str) -> None:

@@ -44,6 +44,7 @@ from .tournament import (
     ETA,
     TAU,
     StochasticTournament,
+    _frozen,
     check_reversible,
     logistic,
     logit,
@@ -114,7 +115,7 @@ def repair_with_root(
     weights, low_wins = t.weights.copy(), t.low_wins.copy()
     weights[idx[edit]] = new[edit]
     low_wins[idx[edit]] = (x < y)[edit]
-    repaired = StochasticTournament(t.n, weights, low_wins)
+    repaired = StochasticTournament(t.n, _frozen(weights), _frozen(low_wins))
     # every |edit| must stay within the discrepancy of its triangle
     disc = _disc_max(e)
     change = np.abs(new - old)
@@ -265,7 +266,7 @@ def extend_tree(tw: TreeWeights) -> StochasticTournament:
             ClampWarning,
             stacklevel=2,
         )
-    return StochasticTournament(n, weights, low_wins)
+    return StochasticTournament(n, _frozen(weights), _frozen(low_wins))
 
 
 def fit_scores_least_squares(t: StochasticTournament) -> np.ndarray:

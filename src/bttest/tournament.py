@@ -48,6 +48,9 @@ RNG_ALGORITHM = "numpy-pcg64"
 #: Types a vertex id may have, built once rather than on every check.
 _INTEGER = (int, np.integer)
 
+#: Types an orientation flag may have; its value must be 0 or 1 too.
+_FLAG = (int, np.integer, np.bool_)
+
 #: The index dtype of the ``log_odds`` fast path.
 _INT64 = np.dtype(np.int64)
 
@@ -115,6 +118,33 @@ def _real(w, x, y):
     return w
 
 
+def _is_flag(f) -> bool:
+    """The one rule for an orientation flag: a bool or an integer 0 or 1."""
+    return isinstance(f, _FLAG) and (f == 0 or f == 1)
+
+
+def _non_number(kind: type) -> bool:
+    """A type :func:`_non_real` refuses, or a bool, which is a flag and not a
+    number: the rule for a score and for a noise level."""
+    return _non_real(kind) or issubclass(kind, (bool, np.bool_))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` marked read-only, so that the constructor keeps it."""
+    a.setflags(write=False)
+    return a
+
+
+def _adopt(a: np.ndarray, dtype) -> np.ndarray:
+    """``a`` itself when it is an ``np.ndarray`` of ``dtype`` that owns its
+    data and is read-only; else a frozen copy of it as ``dtype`` (freezing
+    a caller's array in place would be rude)."""
+    if (type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata
+            and not a.flags.writeable):
+        return a
+    return _frozen(np.array(a, dtype=dtype))
+
+
 def logit(w):
     """Log-odds ``log(w / (1 - w))`` of a weight; scalars and arrays go
     through the same ``np.log``, so both give the same bits."""
@@ -145,7 +175,16 @@ class StochasticTournament:
         lower to the higher vertex id.
 
     Instances are immutable (the arrays are marked read-only); all methods
-    are safe to call concurrently.
+    are safe to call concurrently.  The constructor keeps an array it is
+    handed, without a copy, when that array is an ``np.ndarray`` that owns
+    its data and is read-only, of dtype float64 for ``weights`` and bool
+    for ``low_wins``; anything else (a writeable array, a view, a list,
+    another dtype) is copied and the copy frozen.  As with unfreezing
+    ``t.weights`` itself, a caller who keeps a writeable view of an array
+    they froze can still change the tournament through it.
+
+    An orientation flag is a bool or an integer 0 or 1; anything else
+    raises ParameterOutOfRangeError, naming the pair of the first bad flag.
     """
 
     n: int
@@ -156,13 +195,25 @@ class StochasticTournament:
         object.__setattr__(self, "n", _check_n(self.n))
         m = self.n * (self.n - 1) // 2
         given = np.asarray(self.weights)
-        # private copy: freezing a caller's array in place would be rude
-        low_wins = np.array(self.low_wins, dtype=bool)
-        if given.shape != (m,) or low_wins.shape != (m,):
+        flags = np.asarray(self.low_wins)
+        if given.shape != (m,) or flags.shape != (m,):
             raise DimensionMismatchError(
                 f"expected {m} pair entries for n={self.n}, "
-                f"got {given.shape} / {low_wins.shape}"
+                f"got {given.shape} / {flags.shape}"
             )
+        if flags.dtype != bool:
+            # the caller's entries, not numpy's coercion: [True, 0.5] is all floats
+            entries = (flags.tolist() if isinstance(self.low_wins, np.ndarray)
+                       else list(self.low_wins))
+            flag = np.fromiter(map(_is_flag, entries), bool, m)
+            if not flag.all():
+                i = int(np.argmin(flag))
+                lo, hi = np.triu_indices(self.n, k=1)
+                raise ParameterOutOfRangeError(
+                    f"orientation flag {entries[i]!r} for pair ({lo[i]}, {hi[i]}) "
+                    "is not a bool or an integer 0 or 1"
+                )
+        low_wins = _adopt(flags, bool)
 
         def pair(i):  # the pair of entry i, as stored
             lo, hi = np.triu_indices(self.n, k=1)
@@ -175,16 +226,14 @@ class StochasticTournament:
             if bad:
                 i = next(i for i, k in enumerate(kinds) if k in bad)
                 _real(self.weights[i], *pair(i))  # raises
-        weights = np.array(given, dtype=float)
-        outside = ~((ETA <= weights) & (weights <= 1.0 - ETA))  # NaN too
-        if outside.any():
+        weights = _adopt(given, np.float64)
+        if not (ETA <= weights.min() and weights.max() <= 1.0 - ETA):  # NaN too
+            outside = ~((ETA <= weights) & (weights <= 1.0 - ETA))
             i = int(np.argmax(outside))
             x, y = pair(i)
             raise OutOfRangeProbabilityError(
                 f"p={weights[i]} for pair ({x}, {y}) outside [{ETA}, {1.0 - ETA}]"
             )
-        weights.setflags(write=False)
-        low_wins.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "low_wins", low_wins)
 
@@ -354,7 +403,7 @@ def new_tournament(
         gap = np.flatnonzero((want_lo[:-1] != lo) | (want_hi[:-1] != hi))
         j = gap[0] if gap.size else rows.size
         raise MissingPairError(f"no weight for pair {{{want_lo[j]}, {want_hi[j]}}}")
-    return StochasticTournament(n, p[order], xs[order] < ys[order])
+    return StochasticTournament(n, _frozen(p[order]), _frozen(xs[order] < ys[order]))
 
 
 def markov_matrix(t: StochasticTournament) -> np.ndarray:
@@ -408,13 +457,21 @@ def check_reversible(
 def gen_bt(scores: Sequence[float] | np.ndarray) -> StochasticTournament:
     """Tournament of an exact Bradley-Terry model: p_xy = a(x) / (a(x) + a(y)).
 
-    Every triangle of the output is balanced.  Raises
-    OutOfRangeProbabilityError if a score ratio pushes a probability outside
-    ``[ETA, 1 - ETA]``.
+    Every triangle of the output is balanced.  A score follows the weight
+    rule, and is not a bool either: text, None, complex or a bool raises
+    ParameterOutOfRangeError.  Raises OutOfRangeProbabilityError if a score
+    ratio pushes a probability outside ``[ETA, 1 - ETA]``.
     """
-    a = np.asarray(scores, dtype=float)
-    if a.ndim != 1 or a.size < 2:
+    given = np.asarray(scores)
+    if given.ndim != 1 or given.size < 2:
         raise DimensionMismatchError("scores must be a 1-D vector of length >= 2")
+    if given.dtype.kind not in "iuf" or not isinstance(scores, np.ndarray):
+        # the caller's entries, not numpy's coercion: [1, True] is all integers
+        entries = given.tolist() if isinstance(scores, np.ndarray) else list(scores)
+        for s in entries:
+            if _non_number(type(s)):
+                raise ParameterOutOfRangeError(f"score {s!r} is not a real number")
+    a = np.asarray(given, dtype=float)
     if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
         raise ParameterOutOfRangeError("scores must be strictly positive and finite")
     n = a.size
@@ -424,7 +481,7 @@ def gen_bt(scores: Sequence[float] | np.ndarray) -> StochasticTournament:
     for x in range(n - 1):
         weights[i : i + n - 1 - x] = a[x] / (a[x] + a[x + 1 :])
         i += n - 1 - x
-    return StochasticTournament(n, weights, np.ones(m, dtype=bool))
+    return StochasticTournament(n, _frozen(weights), _frozen(np.ones(m, dtype=bool)))
 
 
 def gen_cyclic(n: int, p: float) -> StochasticTournament:
@@ -439,19 +496,28 @@ def gen_cyclic(n: int, p: float) -> StochasticTournament:
         i = pair_index(n, min(x, y), max(x, y))
         weights[i] = _real(p, x, y)
         low_wins[i] = x < y
-    return StochasticTournament(n, weights, low_wins)
+    return StochasticTournament(n, _frozen(weights), _frozen(low_wins))
 
 
 def gen_perturbed(
     base: StochasticTournament, noise: float, seed: int
 ) -> StochasticTournament:
     """Add seeded uniform noise in [-noise, noise] to every present-edge
-    weight, clamping into [ETA, 1 - ETA].  Pure function of (base, noise, seed)."""
+    weight, clamping into [ETA, 1 - ETA].  Pure function of (base, noise, seed).
+    The output shares ``base.low_wins``, which is read-only.  A ``base``
+    that is not a tournament, or a ``noise`` that is text, None, complex or
+    a bool, raises ParameterOutOfRangeError."""
+    if not isinstance(base, StochasticTournament):
+        raise ParameterOutOfRangeError(
+            f"base must be a StochasticTournament, got {type(base).__name__}")
+    if _non_number(type(noise)):
+        raise ParameterOutOfRangeError(f"noise must be a real number, got {noise!r}")
     if not 0.0 <= noise < 0.5:
         raise ParameterOutOfRangeError(f"noise must be in [0, 0.5), got {noise}")
-    delta = _rng(seed).uniform(-noise, noise, size=base.weights.size)
-    weights = np.clip(base.weights + delta, ETA, 1.0 - ETA)
-    return StochasticTournament(base.n, weights, base.low_wins)
+    w = _rng(seed).uniform(-noise, noise, size=base.weights.size)
+    np.add(base.weights, w, out=w)
+    np.clip(w, ETA, 1.0 - ETA, out=w)
+    return StochasticTournament(base.n, _frozen(w), base.low_wins)
 
 
 def gen_random(n: int, seed: int) -> StochasticTournament:
@@ -460,7 +526,7 @@ def gen_random(n: int, seed: int) -> StochasticTournament:
     n = _check_n(n)
     m = n * (n - 1) // 2
     weights = _rng(seed).uniform(ETA, 1.0 - ETA, size=m)
-    return StochasticTournament(n, weights, np.ones(m, dtype=bool))
+    return StochasticTournament(n, _frozen(weights), _frozen(np.ones(m, dtype=bool)))
 
 
 def set_prob(
@@ -478,4 +544,4 @@ def set_prob(
     low_wins = t.low_wins.copy()
     weights[i] = _real(p, x, y)
     low_wins[i] = x < y
-    return StochasticTournament(t.n, weights, low_wins)
+    return StochasticTournament(t.n, _frozen(weights), _frozen(low_wins))

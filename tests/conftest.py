@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import bttest as bt
+from bttest.balance import _curl, _disc_max, _edge_log_odds, _tree_potential
 from bttest.errors import ParseError
-from bttest.tournament import pair_index
+from bttest.repair import _small_side
+from bttest.tournament import _check_n, _real, logit, pair_index
 
 
 @pytest.fixture
@@ -238,7 +240,136 @@ def reference_new_tournament(n, entries):
         i = weights.index(None)
         lo, hi = np.triu_indices(n, k=1)
         raise bt.MissingPairError(f"no weight for pair {{{lo[i]}, {hi[i]}}}")
-    return bt.StochasticTournament(n, weights, low_wins)
+    return reference_tournament(n, weights, low_wins)
+
+
+# -- construction as it was before the constructor kept frozen arrays -------
+
+
+def reference_tournament(n, weights, low_wins):
+    """``StochasticTournament(n, weights, low_wins)`` as the constructor
+    built it before it kept the frozen arrays it is handed: a private copy
+    of both arrays whatever they are, flags through ``np.array(..., bool)``
+    (so give it bools or integers 0 and 1 only) and the range check through
+    a mask.  The result holds the checked copies."""
+    n = _check_n(n)
+    m = n * (n - 1) // 2
+    given = np.asarray(weights)
+    flags = np.array(low_wins, dtype=bool)
+    if given.shape != (m,) or flags.shape != (m,):
+        raise bt.DimensionMismatchError(
+            f"expected {m} pair entries for n={n}, got {given.shape} / {flags.shape}")
+    lo, hi = np.triu_indices(n, k=1)
+
+    def pair(i):
+        return (lo[i], hi[i]) if flags[i] else (hi[i], lo[i])
+
+    if given.dtype.kind not in "biuf":
+        for i, w in enumerate(weights):
+            _real(w, *pair(i))  # raises on the first non-real entry
+    w = np.array(given, dtype=float)
+    outside = ~((bt.ETA <= w) & (w <= 1.0 - bt.ETA))
+    if outside.any():
+        i = int(np.argmax(outside))
+        x, y = pair(i)
+        raise bt.OutOfRangeProbabilityError(
+            f"p={w[i]} for pair ({x}, {y}) outside [{bt.ETA}, {1.0 - bt.ETA}]")
+    w.setflags(write=False)
+    flags.setflags(write=False)
+    return bt.StochasticTournament(n, w, flags)
+
+
+def reference_gen_bt(scores):
+    """``gen_bt`` before it refused text and bool scores."""
+    a = np.asarray(scores, dtype=float)
+    if a.ndim != 1 or a.size < 2:
+        raise bt.DimensionMismatchError("scores must be a 1-D vector of length >= 2")
+    if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
+        raise bt.ParameterOutOfRangeError("scores must be strictly positive and finite")
+    n = a.size
+    lo, hi = np.triu_indices(n, k=1)
+    return reference_tournament(n, a[lo] / (a[lo] + a[hi]), np.ones(lo.size, dtype=bool))
+
+
+def reference_gen_cyclic(n, p):
+    n = _check_n(n)
+    m = n * (n - 1) // 2
+    weights = np.full(m, 0.5)
+    low_wins = np.ones(m, dtype=bool)
+    for x in range(n):
+        y = (x + 1) % n
+        i = pair_index(n, min(x, y), max(x, y))
+        weights[i] = _real(p, x, y)
+        low_wins[i] = x < y
+    return reference_tournament(n, weights, low_wins)
+
+
+def reference_gen_perturbed(base, noise, seed):
+    """``gen_perturbed`` drawing its noise, adding and clamping in three
+    arrays."""
+    if not 0.0 <= noise < 0.5:
+        raise bt.ParameterOutOfRangeError(f"noise must be in [0, 0.5), got {noise}")
+    bt.tournament._check_seed(seed)
+    delta = np.random.default_rng(seed).uniform(-noise, noise, size=base.weights.size)
+    weights = np.clip(base.weights + delta, bt.ETA, 1.0 - bt.ETA)
+    return reference_tournament(base.n, weights, base.low_wins)
+
+
+def reference_gen_random(n, seed):
+    n = _check_n(n)
+    bt.tournament._check_seed(seed)
+    m = n * (n - 1) // 2
+    weights = np.random.default_rng(seed).uniform(bt.ETA, 1.0 - bt.ETA, size=m)
+    return reference_tournament(n, weights, np.ones(m, dtype=bool))
+
+
+def reference_set_prob(t, x, y, p):
+    t.prob(x, y)  # raises on a bad vertex or a self loop
+    i = pair_index(t.n, min(x, y), max(x, y))
+    weights, low_wins = t.weights.copy(), t.low_wins.copy()
+    weights[i] = _real(p, x, y)
+    low_wins[i] = x < y
+    return reference_tournament(t.n, weights, low_wins)
+
+
+def reference_repair_with_root(t, r):
+    """(tournament, report) of ``repair_with_root`` built through
+    ``reference_tournament``."""
+    t._check_vertex(r)
+    u, v = t._oriented()
+    e = _edge_log_odds(t.log_odds_matrix(), u, v, r)
+    idx = np.flatnonzero((np.abs(_curl(e)) > bt.TAU) & (u != r) & (v != r))
+    u, v, e, w = u[idx], v[idx], e[:, idx], t.weights[idx]
+    new, keep, clamp = _small_side(-(e[1] + e[2]))
+    x, y = np.where(keep, u, v), np.where(keep, v, u)
+    old = np.where(keep, w, 1.0 - w)
+    edit = old != new
+    weights, low_wins = t.weights.copy(), t.low_wins.copy()
+    weights[idx[edit]] = new[edit]
+    low_wins[idx[edit]] = (x < y)[edit]
+    change = np.abs(new - old)
+    return reference_tournament(t.n, weights, low_wins), bt.RepairReport(
+        root=r,
+        edits=tuple(zip(*(a[edit].tolist() for a in (x, y, old, new)))),
+        total_change=math.fsum(change.tolist()),
+        per_edge_bound_ok=bool(np.all(change <= _disc_max(e) + 1e-12)),
+        clamped=tuple(zip(x[clamp].tolist(), y[clamp].tolist())),
+    )
+
+
+def reference_extend_tree(tw):
+    """``extend_tree`` built through ``reference_tournament``, without its
+    ClampWarning."""
+    n = tw.n
+    rise = {(u, v): logit(w) for u, v, w in tw.edges}
+    rise.update({(v, u): -ell for (u, v), ell in rise.items()})
+    log_pi = _tree_potential(n, [(u, v) for u, v, _ in tw.edges], rise)
+    lo, hi = np.triu_indices(n, k=1)
+    weights, low_wins, _ = _small_side(log_pi[hi] - log_pi[lo])
+    for u, v, w in tw.edges:
+        i = pair_index(n, min(u, v), max(u, v))
+        weights[i], low_wins[i] = w, u < v
+    return reference_tournament(n, weights, low_wins)
 
 
 def reference_total_discrepancy(t):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bttest as bt
+from bttest import cli
 from bttest.cli import main
 from conftest import mask_timestamp, reference_repair_output
 
@@ -230,6 +232,44 @@ class TestRepairReportBytes:
         t = bt.gen_perturbed(bt.gen_bt(rng.uniform(0.5, 2.0, 300)), 0.001, 1)
         result = self.check(tmp_path, t, root=root)
         assert max(max(e["edge"]) for e in result["edits"]) >= 100
+
+
+def stdout_bytes(write, newline):
+    """The bytes ``write()`` puts on a UTF-8 stdout with ``newline`` translation."""
+    buf = io.BytesIO()
+    out = io.TextIOWrapper(buf, encoding="utf-8", newline=newline)
+    with contextlib.redirect_stdout(out):
+        write()
+    out.flush()
+    return buf.getvalue()
+
+
+class TestEmitSlices:
+    """``_emit`` writes the report in slices; stdout holds the bytes that
+    ``print`` of the whole report writes."""
+
+    @staticmethod
+    def check(text, size, newline):
+        # the report is ``text`` itself, so that no timestamp differs
+        with mock.patch.object(cli, "make_report", lambda *a: text), \
+                mock.patch.object(cli, "report_json", lambda r: r), \
+                mock.patch.object(cli, "_SLICE", size):
+            got = stdout_bytes(lambda: cli._emit("x", {}, {}), newline)
+        assert got == stdout_bytes(lambda: print(text), newline)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.integers(1, 9), st.sampled_from([None, "", "\r\n"]))
+    def test_any_text_and_slice(self, text, size, newline):
+        self.check(text, size, newline)
+
+    @pytest.mark.parametrize("length", [0, 1, 8, 15, 16, 17, 24])
+    def test_slice_boundaries(self, length):
+        self.check("a\u00e9\n\U0001f600" * (length // 4) + "b" * (length % 4), 4, None)
+
+    def test_a_report_of_several_slices(self):
+        text = json.dumps({"edits": [[i, i + 1, 0.1 * i] for i in range(200_000)]})
+        assert len(text) > 3 * cli._SLICE
+        self.check(text, cli._SLICE, None)
 
 
 class TestFit:
