@@ -66,5 +66,5 @@ print("7*eps' balance everywhere:", bt.check_seven_eps(near, bt.scores_to_statio
 # Least-squares fitting recovers exact models and gives the best potential
 # otherwise; the distance oracle brackets the L1 edit distance at desk scale.
 print("\nfit on exact model:", bt.fit_scores_least_squares(bt.gen_bt([1, 2, 4])))
-bounds = bt.l1_distance_oracle(rps, budget=60)
+bounds = bt.l1_distance_oracle(rps)
 print(f"distance of the cyclic tournament: [{bounds.lower:.4f}, {bounds.upper:.4f}]")

@@ -29,13 +29,13 @@ from .errors import (
     DegenerateCycleError,
     NotASpanningTreeError,
     OutOfRangeProbabilityError,
-    ParameterOutOfRangeError,
     SelfLoopError,
 )
 from .tournament import (
     ETA,
     TAU,
     StochasticTournament,
+    _check_param,
     _is_vertex,
     _potential_residual,
     _real,
@@ -133,8 +133,7 @@ def is_eps_balanced(t: StochasticTournament, tri: Triangle, eps: float) -> bool:
     depend on the orientation.  ``eps`` may exceed 1 (needed when checking
     7-eps balance for larger eps).
     """
-    if not eps > 0.0:  # NaN too
-        raise ParameterOutOfRangeError(f"eps must be > 0, got {eps}")
+    _check_param("eps", eps, "> 0", lambda e: e > 0.0)
     return abs(log_triangle_ratio(t, tri)) <= math.log1p(eps)
 
 

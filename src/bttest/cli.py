@@ -195,12 +195,8 @@ def cmd_extend_tree(args) -> int:
 
 def cmd_distance(args) -> int:
     doc = load_tournament(args.file)
-    bounds = l1_distance_oracle(doc.tournament, budget=args.budget)
-    _emit(
-        "distance",
-        {"file": args.file, "budget": args.budget},
-        {"upper": bounds.upper, "lower": bounds.lower},
-    )
+    bounds = l1_distance_oracle(doc.tournament)
+    _emit("distance", {"file": args.file}, {"upper": bounds.upper, "lower": bounds.lower})
     return 0
 
 
@@ -267,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="L1 distance bounds (desk scale)")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=200,
-                   help="line searches for the fit refinement")
     p.set_defaults(func=cmd_distance)
 
     return parser

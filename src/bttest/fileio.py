@@ -32,9 +32,7 @@ lines inside the body, non-ASCII text, tokens only Python reads such as
 ``1_0`` or ``١``, ids beyond int64, a wrong token count) sends the whole
 body through the per-record decoder, which also gives every line-numbered
 ``ParseError``.  Both paths give the same tournament bit for bit; a
-refused body also pays for the refused ``np.loadtxt`` call.  In a
-traced ``dense`` benchmark run (seed 7, 2-core host) the parse's own time
-fell from 2708 to 656 ns per pair.
+refused body also pays for the refused ``np.loadtxt`` call.
 
 Tree files are the same with the ``bt-tree v1`` tag and n-1 records.
 """

@@ -35,8 +35,6 @@ from .balance import (
 from .errors import (
     ClampWarning,
     DeskScaleExceededError,
-    DimensionMismatchError,
-    ParameterOutOfRangeError,
     PreconditionFailedError,
     TooFewVerticesError,
 )
@@ -44,6 +42,8 @@ from .tournament import (
     ETA,
     TAU,
     StochasticTournament,
+    _check_param,
+    _check_positive,
     _frozen,
     check_reversible,
     logistic,
@@ -53,6 +53,10 @@ from .tournament import (
 
 #: Desk-scale ceiling for the exhaustive L1 distance oracle.
 DESK_SCALE = 8
+
+#: Cap on the distance oracle's line searches; inputs up to DESK_SCALE
+#: converge well inside it.
+_LINE_SEARCHES = 200
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,7 @@ def repair_with_root(
     repairing a reversible tournament is the identity with total_change 0.
     Balancing weights below ETA are floored at ETA and flagged.
     """
-    t._check_vertex(r)
+    r = t._check_vertex(r)
     u, v = t._oriented()
     # edge log-odds of triangle (u, v, r) traversed u -> v -> r -> u
     e = _edge_log_odds(t.log_odds_matrix(), u, v, r)
@@ -159,6 +163,7 @@ def scores_from_root(t: StochasticTournament, r: int) -> np.ndarray:
     Bradley-Terry identity; if every triangle through r is eps-balanced
     they form an eps-approximate score vector.
     """
+    r = t._check_vertex(r)
     y = np.arange(t.n)
     return np.exp(np.insert(t.log_odds(y[y != r], r), r, 0.0))
 
@@ -173,8 +178,7 @@ def verify_approx_bt(
     for all ordered pairs.  Scale-free in ``scores``.
     """
     p, pred = _observed_and_predicted(t, scores)
-    if not 0.0 < eps <= 1.0:
-        raise ParameterOutOfRangeError(f"eps must be in (0, 1], got {eps}")
+    _check_param("eps", eps, "in (0, 1]", lambda e: 0.0 < e <= 1.0)
     return _within(p, pred, eps)
 
 
@@ -183,11 +187,7 @@ def _observed_and_predicted(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``p_xy`` and ``a(x) / (a(x) + a(y))`` as ``n x n`` matrices, both
     with a diagonal of 1, after validating ``scores``."""
-    a = np.asarray(scores, dtype=float)
-    if a.shape != (t.n,):
-        raise DimensionMismatchError(f"scores shape {a.shape}, expected ({t.n},)")
-    if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-        raise ParameterOutOfRangeError("scores must be strictly positive and finite")
+    a = _check_positive("scores", scores, t.n)
     p = t.prob_matrix()
     pred = a[:, None] / (a[:, None] + a[None, :])
     np.fill_diagonal(pred, 1.0)
@@ -206,10 +206,7 @@ def scores_to_stationary(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     If ``scores`` is an eps-approximate score vector for a tournament, the
     pair (tournament, pi) passes ``check_reversible`` at 3*eps.
     """
-    a = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-        raise ParameterOutOfRangeError("scores must be strictly positive and finite")
-    inv = 1.0 / a
+    inv = 1.0 / _check_positive("scores", scores)
     return inv / inv.sum()
 
 
@@ -322,13 +319,14 @@ def _l1_objective(p: np.ndarray, phi: np.ndarray):
     return np.abs(p[x, y] - logistic(phi[..., x] - phi[..., y])).sum(axis=-1)
 
 
-def l1_distance_oracle(t: StochasticTournament, budget: int = 200) -> DistanceBounds:
+def l1_distance_oracle(t: StochasticTournament) -> DistanceBounds:
     """Bracket the L1 edit distance to the reversible property (n <= 8).
 
     Upper bound: the cheapest single-root repair, refined by coordinate
     descent on the log-score potential minimising the absolute deviation
-    from the induced model (``budget`` single-coordinate line searches,
-    started from the least-squares potential).  A line search over phi_i
+    from the induced model (sweeps of single-coordinate line searches,
+    started from the least-squares potential, until a sweep gains nothing
+    or ``_LINE_SEARCHES`` have run).  A line search over phi_i
     evaluates the objective at once on a candidate set: the n - 1 points
     ``phi_y + L[i, y]``, each fitting pair {i, y} exactly, and the
     midpoints between consecutive sorted points, where saturating terms
@@ -343,9 +341,6 @@ def l1_distance_oracle(t: StochasticTournament, budget: int = 200) -> DistanceBo
         raise DeskScaleExceededError(
             f"distance oracle is desk-scale only (n <= {DESK_SCALE}), got n={t.n}"
         )
-    if not budget >= 0:  # NaN too
-        raise ParameterOutOfRangeError(f"budget must be >= 0, got {budget}")
-
     upper = min(repair_with_root(t, r)[1].total_change for r in range(t.n))
 
     p = t.prob_matrix()
@@ -354,10 +349,10 @@ def l1_distance_oracle(t: StochasticTournament, budget: int = 200) -> DistanceBo
     best = float(_l1_objective(p, phi))
     steps = 0
     improved = True
-    while improved and steps < budget:
+    while improved and steps < _LINE_SEARCHES:
         improved = False
         for i in range(1, t.n):  # phi[0] pinned: the objective is scale-free
-            if steps >= budget:
+            if steps >= _LINE_SEARCHES:
                 break
             kinks = np.sort(np.delete(phi + ell[i], i))
             trials = np.tile(phi, (2 * kinks.size - 1, 1))

@@ -29,8 +29,9 @@ from typing import Iterator
 import numpy as np
 
 from .balance import Triangle, log_triangle_ratio
-from .errors import ParameterOutOfRangeError, TooFewVerticesError
-from .tournament import _INTEGER, TAU, StochasticTournament, _check_n, _check_seed, _rng
+from .errors import TooFewVerticesError
+from .tournament import (
+    _INTEGER, TAU, StochasticTournament, _check_n, _check_param, _check_seed, _rng)
 
 #: Triangles per chunk at most; bounds the tester's memory.
 _CHUNK = 1024
@@ -62,10 +63,8 @@ class TesterConfig:
     def __post_init__(self):
         sample_size(self.eps, self.delta)  # raises on an eps or delta outside (0, 1)
         _check_seed(self.seed)
-        if self.eps_balance is not None and not self.eps_balance > 0.0:  # NaN too
-            raise ParameterOutOfRangeError(
-                f"eps_balance must be > 0, got {self.eps_balance}"
-            )
+        if self.eps_balance is not None:
+            _check_param("eps_balance", self.eps_balance, "> 0", lambda e: e > 0.0)
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,8 @@ def sample_size(eps: float, delta: float = 1.0 / 3.0) -> int:
     Satisfies (1-eps)^result <= delta.  At delta = 1/3 the result stays
     below 2/eps for every eps in (0, 1).
     """
-    if not 0.0 < eps < 1.0:
-        raise ParameterOutOfRangeError(f"eps must be in (0, 1), got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise ParameterOutOfRangeError(f"delta must be in (0, 1), got {delta}")
+    _check_param("eps", eps, "in (0, 1)", lambda e: 0.0 < e < 1.0)
+    _check_param("delta", delta, "in (0, 1)", lambda d: 0.0 < d < 1.0)
     return math.ceil(math.log(1.0 / delta) / -math.log1p(-eps))
 
 
@@ -182,8 +179,8 @@ def estimate_unbalanced_fraction(
     """
     if t.n < 3:
         raise TooFewVerticesError(f"need n >= 3, got n={t.n}")
-    if isinstance(samples, bool) or not (isinstance(samples, _INTEGER) and samples >= 1):
-        raise ParameterOutOfRangeError(f"samples must be an integer >= 1, got {samples}")
+    _check_param("samples", samples, "an integer >= 1",
+                 lambda k: isinstance(k, _INTEGER) and k >= 1)
     chunks = _triangles(_rng(seed), t.n, samples, _CHUNK)
     bad = sum(np.count_nonzero(abs(log_triangle_ratio(t, c)) > TAU) for c in chunks)
     return bad / samples

@@ -18,6 +18,8 @@ balance and exact reversibility are judged up to the fixed tolerance
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -55,12 +57,42 @@ _FLAG = (int, np.integer, np.bool_)
 _INT64 = np.dtype(np.int64)
 
 
+def _check_param(name: str, value, rule: str, inside) -> None:
+    """The one rule for a scalar parameter: a number under :func:`_non_number`
+    for which ``inside(value)`` holds (written so that NaN fails it), else
+    ParameterOutOfRangeError naming ``rule``."""
+    if _non_number(type(value)):
+        raise ParameterOutOfRangeError(f"{name} must be a real number, got {value!r}")
+    if not inside(value):
+        raise ParameterOutOfRangeError(f"{name} must be {rule}, got {value}")
+
+
+def _check_positive(name: str, values, n: int | None = None) -> np.ndarray:
+    """The one rule for a score vector or measure: a 1-D vector of ``n``
+    entries (at least 2 when ``n`` is None), each a number under
+    :func:`_non_number`, finite and > 0; returned as float64."""
+    given = np.asarray(values)
+    if given.ndim != 1 or (given.size < 2 if n is None else given.size != n):
+        raise DimensionMismatchError(
+            f"{name} must be a 1-D vector of length {'>= 2' if n is None else n}")
+    if given.dtype.kind not in "iuf" or not isinstance(values, np.ndarray):
+        # the caller's entries, not numpy's coercion: [1, True] is all integers
+        entries = given.tolist() if isinstance(values, np.ndarray) else list(values)
+        for v in entries:
+            if _non_number(type(v)):
+                raise ParameterOutOfRangeError(f"{name} entry {v!r} is not a real number")
+    a = np.asarray(given, dtype=float)
+    if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
+        raise ParameterOutOfRangeError(f"{name} must be strictly positive and finite")
+    return a
+
+
 def _check_seed(seed) -> None:
     """The one rule for a seed: an ``int`` or numpy integer >= 0, not a bool.
     None is refused too, since it would draw OS entropy and the run could
     not be repeated."""
-    if isinstance(seed, bool) or not (isinstance(seed, _INTEGER) and seed >= 0):
-        raise ParameterOutOfRangeError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_param("seed", seed, "an integer >= 0",
+                 lambda s: isinstance(s, _INTEGER) and s >= 0)
 
 
 def _check_n(n, least: int = 2) -> int:
@@ -95,6 +127,16 @@ def pair_index(n: int, x, y):
     return (x * (2 * int(n) - 3 - x) >> 1) + y - 1
 
 
+def _pair_of(n: int, i: int) -> tuple[int, int]:
+    """The pair ``(x, y)``, x < y, at position ``i``: the exact inverse of
+    :func:`pair_index`.  Position j from the end is in the row of k + 1
+    pairs where k(k+1)/2 <= j < (k+1)(k+2)/2."""
+    n, i = int(n), int(i)
+    k = (math.isqrt(8 * (n * (n - 1) // 2 - 1 - i) + 1) - 1) // 2
+    x = n - 2 - k
+    return x, i - pair_index(n, x, x + 1) + x + 1
+
+
 def _is_vertex(v, n: int) -> bool:
     """The one rule for a vertex id: an ``int`` or numpy integer in ``[0, n)``."""
     return isinstance(v, _INTEGER) and 0 <= v < n
@@ -123,9 +165,11 @@ def _is_flag(f) -> bool:
     return isinstance(f, _FLAG) and (f == 0 or f == 1)
 
 
+@functools.cache
 def _non_number(kind: type) -> bool:
     """A type :func:`_non_real` refuses, or a bool, which is a flag and not a
-    number: the rule for a score and for a noise level."""
+    number: the rule for every numeric parameter.  Cached per type, since
+    the tester checks its parameters on every run."""
     return _non_real(kind) or issubclass(kind, (bool, np.bool_))
 
 
@@ -208,16 +252,15 @@ class StochasticTournament:
             flag = np.fromiter(map(_is_flag, entries), bool, m)
             if not flag.all():
                 i = int(np.argmin(flag))
-                lo, hi = np.triu_indices(self.n, k=1)
                 raise ParameterOutOfRangeError(
-                    f"orientation flag {entries[i]!r} for pair ({lo[i]}, {hi[i]}) "
+                    f"orientation flag {entries[i]!r} for pair {_pair_of(self.n, i)} "
                     "is not a bool or an integer 0 or 1"
                 )
         low_wins = _adopt(flags, bool)
 
         def pair(i):  # the pair of entry i, as stored
-            lo, hi = np.triu_indices(self.n, k=1)
-            return (lo[i], hi[i]) if low_wins[i] else (hi[i], lo[i])
+            lo, hi = _pair_of(self.n, i)
+            return (lo, hi) if low_wins[i] else (hi, lo)
 
         if given.dtype.kind not in "biuf":
             # the caller's entries, not numpy's coercion: [0.5, "x"] is all strings
@@ -228,8 +271,9 @@ class StochasticTournament:
                 _real(self.weights[i], *pair(i))  # raises
         weights = _adopt(given, np.float64)
         if not (ETA <= weights.min() and weights.max() <= 1.0 - ETA):  # NaN too
-            outside = ~((ETA <= weights) & (weights <= 1.0 - ETA))
-            i = int(np.argmax(outside))
+            inside = ETA <= weights
+            inside &= weights <= 1.0 - ETA
+            i = int(np.argmin(inside))
             x, y = pair(i)
             raise OutOfRangeProbabilityError(
                 f"p={weights[i]} for pair ({x}, {y}) outside [{ETA}, {1.0 - ETA}]"
@@ -239,9 +283,10 @@ class StochasticTournament:
 
     # -- queries ---------------------------------------------------------
 
-    def _check_vertex(self, v: int):
+    def _check_vertex(self, v) -> int:
         if not _is_vertex(v, self.n):
             raise VertexOutOfRangeError(f"vertex {v!r} is not an integer in [0, {self.n})")
+        return int(v)
 
     def _stored(self, x: int, y: int) -> tuple[float, bool]:
         """Stored weight of the pair {x, y} and whether it is stored as x -> y."""
@@ -380,11 +425,11 @@ def new_tournament(
     vertex = _vertices(x, n) & _vertices(y, n)
     rows = np.flatnonzero(~loop & vertex)
     xs, ys = x[rows].astype(np.int64), y[rows].astype(np.int64)
-    lo, hi = np.minimum(xs, ys), np.maximum(xs, ys)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
+    key = pair_index(n, np.minimum(xs, ys), np.maximum(xs, ys))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     # a stable sort keeps each pair's first record ahead of its repeats
-    repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    repeat = key[1:] == key[:-1]
     fault = loop | ~vertex
     fault[rows[order[1:][repeat]]] = True
     if fault.any():
@@ -395,14 +440,11 @@ def new_tournament(
             raise VertexOutOfRangeError(f"entry ({x[i]}, {y[i]}) is not in [0, {n})")
         raise DuplicatePairError(f"pair {{{x[i]}, {y[i]}}} given twice")
     if rows.size < n * (n - 1) // 2:
-        # pairs present are distinct and sorted: the first missing one is
-        # the successor of the last pair where the run (0, 1), (0, 2), ... breaks
-        wrap = hi + 1 == n
-        want_lo = np.concatenate(([0], np.where(wrap, lo + 1, lo)))
-        want_hi = np.concatenate(([1], np.where(wrap, lo + 2, hi + 1)))
-        gap = np.flatnonzero((want_lo[:-1] != lo) | (want_hi[:-1] != hi))
-        j = gap[0] if gap.size else rows.size
-        raise MissingPairError(f"no weight for pair {{{want_lo[j]}, {want_hi[j]}}}")
+        # positions present are distinct and sorted: the first missing one
+        # is the first that does not sit at its own index
+        gap = np.flatnonzero(key != np.arange(rows.size))
+        lo, hi = _pair_of(n, gap[0] if gap.size else rows.size)
+        raise MissingPairError(f"no weight for pair {{{lo}, {hi}}}")
     return StochasticTournament(n, _frozen(p[order]), _frozen(xs[order] < ys[order]))
 
 
@@ -438,13 +480,8 @@ def check_reversible(
     ``|D|``.  Detailed balance over the Markov matrix and over the
     probability matrix coincide because ``q_xy = p_xy / n``.
     """
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (t.n,):
-        raise DimensionMismatchError(f"pi has shape {pi.shape}, expected ({t.n},)")
-    if not np.all(np.isfinite(pi)) or np.any(pi <= 0.0):
-        raise ParameterOutOfRangeError("pi must be strictly positive and finite")
-    if not eps >= 0.0:  # NaN too
-        raise ParameterOutOfRangeError(f"eps must be >= 0, got {eps}")
+    pi = _check_positive("pi", pi, t.n)
+    _check_param("eps", eps, ">= 0", lambda e: e >= 0.0)
     # pi / max first: at pi ~ 1e-300, log(pi) ~ -690 has an ulp of 1e-13
     with np.errstate(divide="ignore", invalid="ignore"):  # a spread past 1e323 gives 0
         residual = _potential_residual(t.log_odds_matrix(), np.log(pi / pi.max()))
@@ -462,18 +499,7 @@ def gen_bt(scores: Sequence[float] | np.ndarray) -> StochasticTournament:
     ParameterOutOfRangeError.  Raises OutOfRangeProbabilityError if a score
     ratio pushes a probability outside ``[ETA, 1 - ETA]``.
     """
-    given = np.asarray(scores)
-    if given.ndim != 1 or given.size < 2:
-        raise DimensionMismatchError("scores must be a 1-D vector of length >= 2")
-    if given.dtype.kind not in "iuf" or not isinstance(scores, np.ndarray):
-        # the caller's entries, not numpy's coercion: [1, True] is all integers
-        entries = given.tolist() if isinstance(scores, np.ndarray) else list(scores)
-        for s in entries:
-            if _non_number(type(s)):
-                raise ParameterOutOfRangeError(f"score {s!r} is not a real number")
-    a = np.asarray(given, dtype=float)
-    if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-        raise ParameterOutOfRangeError("scores must be strictly positive and finite")
+    a = _check_positive("scores", scores)
     n = a.size
     m = n * (n - 1) // 2
     weights = np.empty(m)
@@ -510,10 +536,7 @@ def gen_perturbed(
     if not isinstance(base, StochasticTournament):
         raise ParameterOutOfRangeError(
             f"base must be a StochasticTournament, got {type(base).__name__}")
-    if _non_number(type(noise)):
-        raise ParameterOutOfRangeError(f"noise must be a real number, got {noise!r}")
-    if not 0.0 <= noise < 0.5:
-        raise ParameterOutOfRangeError(f"noise must be in [0, 0.5), got {noise}")
+    _check_param("noise", noise, "in [0, 0.5)", lambda e: 0.0 <= e < 0.5)
     w = _rng(seed).uniform(-noise, noise, size=base.weights.size)
     np.add(base.weights, w, out=w)
     np.clip(w, ETA, 1.0 - ETA, out=w)

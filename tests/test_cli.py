@@ -361,7 +361,7 @@ class TestExtendTree:
 
 class TestDistance:
     def test_cyclic(self, capsys, cyclic_file):
-        code, report = run(capsys, "distance", cyclic_file, "--budget", "40")
+        code, report = run(capsys, "distance", cyclic_file)
         assert code == 0
         res = report["result"]
         assert res["lower"] <= res["upper"] <= 0.9 - 0.01 / 0.82 + 1e-9

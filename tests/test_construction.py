@@ -251,6 +251,24 @@ def test_a_generator_allocates_little_beyond_its_result(build):
     assert peak <= 1.1 * fresh
 
 
+def test_a_weight_error_names_its_pair_without_a_pair_table():
+    # n = 4000: a table of every pair would take 128 MB, the mask takes 16
+    n = 4000
+    m = n * (n - 1) // 2
+    weights, flags = np.full(m, 0.5), np.zeros(m, dtype=bool)
+    weights[m - 2] = 1.0
+    weights.setflags(write=False)
+    flags.setflags(write=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(bt.OutOfRangeProbabilityError, match=r"for pair \(3999, 3997\)"):
+            bt.StochasticTournament(n, weights, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 # -- arguments refused ----------------------------------------------------
 
 

@@ -61,7 +61,7 @@ def test_file_commands_are_deterministic(t, data, seed, eps, eps_balance):
         assert_deterministic(["repair", f, "-o", out], out)
         assert_deterministic(["repair", f, "--root", root, "-o", out], out)
         if t.n <= bt.DESK_SCALE:
-            assert_deterministic(["distance", f, "--budget", "20"])
+            assert_deterministic(["distance", f])
 
 
 @settings(max_examples=30, deadline=None)

@@ -35,6 +35,13 @@ class TestRepairWithRoot:
         assert report.per_edge_bound_ok
         assert report.total_change == pytest.approx(0.9 - 0.01 / 0.82, rel=1e-9)
 
+    @pytest.mark.parametrize("r", [np.int8(1), np.uint64(1), True])
+    def test_root_is_reported_as_an_int(self, r):
+        t = bt.gen_random(5, 3)
+        repaired, report = bt.repair_with_root(t, r)
+        assert type(report.root) is int and report.root == 1
+        assert (repaired, report) == bt.repair_with_root(t, 1)
+
     def test_bt_input_is_identity(self, bt124):
         repaired, report = bt.repair_with_root(bt124, 1)
         assert report.edits == ()
@@ -205,6 +212,14 @@ class TestScoresFromRoot:
         np.testing.assert_allclose(
             bt.scores_from_root(bt124, 0), [1.0, 2.0, 4.0], rtol=1e-9
         )
+
+    def test_root_is_checked_before_any_arithmetic(self, bt124):
+        # a bool is a vertex id under the one vertex rule, as in log_odds
+        np.testing.assert_array_equal(bt.scores_from_root(bt124, True),
+                                      bt.scores_from_root(bt124, 1))
+        for r in (3, -1, 1.0, "1", None):
+            with pytest.raises(bt.VertexOutOfRangeError):
+                bt.scores_from_root(bt124, r)
 
     def test_all_half_gives_ones(self, fair3):
         np.testing.assert_allclose(bt.scores_from_root(fair3, 1), 1.0, rtol=1e-12)
@@ -517,12 +532,12 @@ class TestMinVerificationEps:
 
 class TestDistanceOracle:
     def test_bt_is_zero(self, bt124):
-        bounds = bt.l1_distance_oracle(bt124, budget=20)
+        bounds = bt.l1_distance_oracle(bt124)
         assert bounds.upper == 0.0
         assert bounds.lower == 0.0
 
     def test_cyclic_bounds(self, cyclic3):
-        bounds = bt.l1_distance_oracle(cyclic3, budget=40)
+        bounds = bt.l1_distance_oracle(cyclic3)
         assert bounds.upper <= 0.9 - 0.01 / 0.82 + 1e-9
         assert bounds.lower > 0.0
         assert bounds.lower <= bounds.upper
@@ -533,7 +548,7 @@ class TestDistanceOracle:
             root_upper = min(
                 bt.repair_with_root(t, r)[1].total_change for r in range(5)
             )
-            bounds = bt.l1_distance_oracle(t, budget=120)
+            bounds = bt.l1_distance_oracle(t)
             assert bounds.upper <= root_upper + 1e-12
             assert bounds.lower <= bounds.upper
 
@@ -550,16 +565,6 @@ class TestDistanceOracle:
         ]
         np.testing.assert_allclose(_l1_objective(p, phis), expected, rtol=1e-12)
         assert _l1_objective(p, phis[0]) == pytest.approx(expected[0], rel=1e-12)
-
-    def test_budget_validation(self, cyclic3):
-        # a NaN budget would run no line search and skip the refinement
-        for budget in (-1, float("nan")):
-            with pytest.raises(bt.ParameterOutOfRangeError):
-                bt.l1_distance_oracle(cyclic3, budget=budget)
-
-    def test_budget_zero_still_bracketed(self, cyclic3):
-        bounds = bt.l1_distance_oracle(cyclic3, budget=0)
-        assert bounds.lower <= bounds.upper
 
     def test_desk_scale_limit(self):
         with pytest.raises(bt.DeskScaleExceededError):

@@ -61,7 +61,7 @@ API = {
     "extend_tree": ("tw",),
     "fit_scores_least_squares": ("t",),
     "min_verification_eps": ("t", "scores"),
-    "l1_distance_oracle": ("t", "budget"),
+    "l1_distance_oracle": ("t",),
     "TournamentDocument": ("tournament", "labels"),
     "parse_document": ("source",),
     "parse_tournament": ("source",),
@@ -103,7 +103,7 @@ CLI = {
     "gen cyclic": ("--n", "--p", "-o", "--output"),
     "gen random": ("--n", "--seed", "-o", "--output"),
     "extend-tree": ("treefile", "-o", "--output"),
-    "distance": ("file", "--budget"),
+    "distance": ("file",),
 }
 
 

@@ -7,9 +7,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bttest as bt
-from bttest.tournament import logistic, logit
+from bttest.tournament import _pair_of, logistic, logit
 from conftest import dense_probs
 
 
@@ -387,6 +389,33 @@ def test_pair_index_is_lexicographic():
             assert bt.pair_index(n, x, y) == expected
             expected += 1
     assert expected == n * (n - 1) // 2
+
+
+@st.composite
+def positions(draw):
+    n = draw(st.integers(2, 2**32))
+    m = n * (n - 1) // 2
+    x = draw(st.integers(0, n - 2))
+    # the first and last pair of a row, where a rounded square root would slip
+    ends = [bt.pair_index(n, x, x + 1), bt.pair_index(n, x, n - 1), 0, m - 1]
+    return n, draw(st.one_of(st.integers(0, m - 1), st.sampled_from(ends)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(positions())
+def test_pair_of_inverts_pair_index(position):
+    n, i = position
+    x, y = _pair_of(n, i)
+    assert 0 <= x < y < n and bt.pair_index(n, x, y) == i
+
+
+def test_pair_of_names_every_pair_in_order():
+    for n in range(2, 30):
+        pairs = [_pair_of(n, i) for i in range(n * (n - 1) // 2)]
+        assert pairs == list(combinations(range(n), 2))
+    # numpy integers, as argmin returns them, give Python ints
+    assert _pair_of(np.int64(29), np.int64(405)) == (27, 28)
+    assert all(type(v) is int for v in _pair_of(np.int64(29), np.int64(405)))
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8])
