@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, starmap
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -35,24 +35,27 @@ from .tournament import (
     ETA,
     TAU,
     StochasticTournament,
+    _check_id,
+    _check_n,
     _check_param,
     _is_vertex,
     _potential_residual,
     _real,
+    _record,
     pair_index,
 )
 
 
 @dataclass(frozen=True)
 class Triangle:
-    """Three distinct vertices, stored sorted (x < y < z)."""
+    """Three distinct integer vertices, stored sorted (x < y < z)."""
 
     x: int
     y: int
     z: int
 
     def __post_init__(self):
-        a, b, c = sorted((self.x, self.y, self.z))
+        a, b, c = sorted(map(_check_id, (self.x, self.y, self.z)))
         if a == b or b == c:
             raise SelfLoopError(f"triangle vertices must be distinct: {self}")
         object.__setattr__(self, "x", a)
@@ -65,12 +68,12 @@ class Triangle:
 
 @dataclass(frozen=True)
 class DirectedCycle:
-    """A cyclically traversed sequence of >= 3 distinct vertices."""
+    """A cyclically traversed sequence of >= 3 distinct integer vertices."""
 
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        vs = tuple(int(v) for v in self.vertices)
+        vs = tuple(map(_check_id, self.vertices))
         if len(vs) < 3 or len(set(vs)) != len(vs):
             raise DegenerateCycleError(
                 f"cycle needs >= 3 distinct vertices, got {vs}"
@@ -187,9 +190,8 @@ def _disc_min(e):
 
 
 def enumerate_triangles(n: int) -> Iterator[Triangle]:
-    """All C(n, 3) triangles in lexicographic order."""
-    for x, y, z in combinations(range(n), 3):
-        yield Triangle(x, y, z)
+    """All C(n, 3) triangles in lexicographic order; a bad ``n`` raises here."""
+    return starmap(Triangle, combinations(range(_check_n(n)), 3))
 
 
 def _triangle_slabs(
@@ -293,7 +295,7 @@ class TreeWeights:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        edges = tuple(self.edges)
+        edges = tuple(_record(e, ("u", "v", "w")) for e in self.edges)
         _tree_structure(self.n, [(u, v) for u, v, _ in edges])  # validates
         edges = tuple((int(u), int(v), float(_real(w, u, v))) for u, v, w in edges)
         for u, v, w in edges:
@@ -310,7 +312,8 @@ def _tree_structure(n: int, tree_edges) -> tuple[np.ndarray, np.ndarray]:
     Raises NotASpanningTreeError unless the edges form a spanning tree of
     the complete graph on [0, n).
     """
-    edges = list(tree_edges)
+    n = _check_n(n)
+    edges = [_record(e, ("u", "v")) for e in tree_edges]
     if len(edges) != n - 1 or len({frozenset(e) for e in edges}) != len(edges):
         raise NotASpanningTreeError(
             f"expected {n - 1} distinct edges, got {len(edges)}"

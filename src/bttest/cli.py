@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from ._version import __version__
 from .balance import total_discrepancy
 from .errors import TournamentError
 from .fileio import (
-    _Encoded,
     load_tournament,
     load_tree,
     make_report,
@@ -46,16 +46,30 @@ from .tournament import gen_bt, gen_cyclic, gen_random
 #: text ``json`` writes for it, and weights are finite.
 _EDIT = '{"edge": [%d, %d], "old": %r, "new": %r}'
 
+#: Edits formatted and written at a time, about 0.5 MB of text.
+_EDITS_PER_BLOCK = 8192
+
+#: Stands in for the edit list in the ``repair`` report: no other value there
+#: holds its JSON, ``"\u0000edits"``, since a path holds no NUL.
+_EDITS = "\0edits"
 
 #: Most characters handed to ``sys.stdout`` in one write: ``print`` of a
 #: whole report would encode it into one bytes object as large as the report.
 _SLICE = 1 << 20
 
 
-def _emit(command: str, config: dict, result: dict, seed=None) -> None:
+def _emit(command: str, config: dict, result: dict, seed=None, edits=None) -> None:
     """Write the report and a newline to stdout, the bytes ``print`` writes,
-    in slices of at most ``_SLICE`` characters."""
+    in slices of at most ``_SLICE`` characters.  A repair's ``edits`` take
+    the place of ``_EDITS`` in its report, ``_EDITS_PER_BLOCK`` at a time, so
+    that no step holds the text of all C(n - 1, 2) of a near-BT input."""
     text = report_json(make_report(command, config, result, seed))
+    if edits is not None:
+        head, _, text = text.rpartition(json.dumps(_EDITS))
+        sys.stdout.write(head)
+        for i in range(0, len(edits), _EDITS_PER_BLOCK):
+            block = edits[i : i + _EDITS_PER_BLOCK]
+            sys.stdout.write((", " if i else "") + ", ".join([_EDIT % e for e in block]))
     for i in range(0, len(text), _SLICE):
         sys.stdout.write(text[i : i + _SLICE])
     sys.stdout.write("\n")
@@ -136,11 +150,12 @@ def cmd_repair(args) -> int:
         {"file": args.file, "root": args.root, "output": args.output},
         {
             "root": report.root,
-            "edits": _Encoded("[" + ", ".join([_EDIT % e for e in report.edits]) + "]"),
+            "edits": [_EDITS],
             "total_change": report.total_change,
             "per_edge_bound_ok": report.per_edge_bound_ok,
             "clamped": [list(e) for e in report.clamped],
         },
+        edits=report.edits,
     )
     return 0
 

@@ -32,7 +32,7 @@ class OutOfRangeProbabilityError(TournamentError):
 
 
 class DimensionMismatchError(TournamentError):
-    """A vector's length does not match the vertex count."""
+    """A vector or a record has the wrong length or shape."""
 
 
 class DegenerateCycleError(TournamentError):

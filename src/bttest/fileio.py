@@ -255,45 +255,7 @@ def make_report(command: str, config: dict, result: dict, seed=None) -> dict:
     return report
 
 
-class _Encoded(str):
-    """Text that is already JSON; :func:`report_json` writes it as it stands
-    where it is the value of a dict entry."""
-
-
-def _key(key) -> str:
-    """A dict key as ``json.dumps`` writes it: text as a JSON string; a
-    number, bool or None as its JSON text, quoted."""
-    if isinstance(key, str):
-        return json.dumps(key)
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _encode(value, parts: list[str]) -> None:
-    """Appends the JSON text of ``value`` to ``parts``: a dict key by key,
-    an ``_Encoded`` value as it stands, anything else through ``json.dumps``."""
-    if isinstance(value, _Encoded):
-        parts.append(value)
-    elif isinstance(value, dict):
-        parts.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            parts.append((", " if i else "") + _key(key) + ": ")
-            _encode(item, parts)
-        parts.append("}")
-    else:
-        parts.append(json.dumps(value))
-
-
 def report_json(report: dict) -> str:
-    """One line of compact JSON; for a plain dict exactly ``json.dumps(report)``.
-
-    A dict value that is already JSON text (``_Encoded``, as ``repair``
-    builds for its edit list) is written as it stands, so a large array
-    needs no Python object per element and no second pass through
-    ``json.dumps``.  The parts are joined once, so the report text is
-    copied once.
-    """
-    parts: list[str] = []
-    _encode(report, parts)
-    return "".join(parts)
+    """The report as one line of compact JSON, ``json.dumps(report)``; the
+    ``repair`` command writes its edit list into this text in blocks."""
+    return json.dumps(report)

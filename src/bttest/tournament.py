@@ -71,7 +71,10 @@ def _check_positive(name: str, values, n: int | None = None) -> np.ndarray:
     """The one rule for a score vector or measure: a 1-D vector of ``n``
     entries (at least 2 when ``n`` is None), each a number under
     :func:`_non_number`, finite and > 0; returned as float64."""
-    given = np.asarray(values)
+    try:
+        given = np.asarray(values)
+    except ValueError:  # a ragged nest, [[1, 2], [3]], is no 1-D vector either
+        given = np.empty((0, 0))
     if given.ndim != 1 or (given.size < 2 if n is None else given.size != n):
         raise DimensionMismatchError(
             f"{name} must be a 1-D vector of length {'>= 2' if n is None else n}")
@@ -140,6 +143,20 @@ def _pair_of(n: int, i: int) -> tuple[int, int]:
 def _is_vertex(v, n: int) -> bool:
     """The one rule for a vertex id: an ``int`` or numpy integer in ``[0, n)``."""
     return isinstance(v, _INTEGER) and 0 <= v < n
+
+
+def _check_id(v) -> int:
+    """The type half of :func:`_is_vertex`: ``v`` as an ``int``, or an error."""
+    if not isinstance(v, _INTEGER):
+        raise VertexOutOfRangeError(f"vertex {v!r} is not an integer")
+    return int(v)
+
+
+def _record(record, fields: tuple[str, ...]) -> tuple:
+    """``record`` as a tuple of its ``fields``, or an error that names it."""
+    if not hasattr(record, "__len__") or len(record) != len(fields):
+        raise DimensionMismatchError(f"record {record!r} is not ({', '.join(fields)})")
+    return tuple(record)
 
 
 def _non_real(kind: type) -> bool:
@@ -386,7 +403,7 @@ def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if isinstance(entries, np.ndarray) and entries.dtype.names:
         x, y, p = (entries[f] for f in entries.dtype.names)
         return x, y, p
-    rows = [(x, y, p) for x, y, p in entries]
+    rows = [_record(r, ("x", "y", "p")) for r in entries]
     x, y, p = (np.fromiter((r[j] for r in rows), object, len(rows)) for j in range(3))
     return x, y, p
 
@@ -407,17 +424,18 @@ def new_tournament(
     The record direction fixes the present edge: ``p_xy = p`` and
     ``p_yx = 1 - p``.  Every unordered pair must appear exactly once, and
     every ``p`` must be a real number in ``[ETA, 1 - ETA]``.  A vertex
-    count that is not an integer >= 2 raises first.  The records
-    are checked as arrays: the first record, in record order, that is a
-    self loop, names a vertex outside ``[0, n)`` or repeats an earlier
-    pair raises (in that order within a record); then the first missing
-    pair in lexicographic order; then the weights.  ``entries`` may be a
-    record array with three fields, as the file reader builds.
+    count that is not an integer >= 2 raises first, then a record that is
+    not three fields.  The records are checked as arrays: the first record,
+    in record order, that is a self loop, names a vertex outside ``[0, n)``
+    or repeats an earlier pair raises (in that order within a record); then
+    the first missing pair in lexicographic order; then the weights.
+    ``entries`` may also be a record array, as the file reader builds.
 
     Raises
     ------
-    ParameterOutOfRangeError, SelfLoopError, VertexOutOfRangeError,
-    DuplicatePairError, MissingPairError, OutOfRangeProbabilityError
+    ParameterOutOfRangeError, DimensionMismatchError, SelfLoopError,
+    VertexOutOfRangeError, DuplicatePairError, MissingPairError,
+    OutOfRangeProbabilityError
     """
     n = _check_n(n)
     x, y, p = _entry_columns(entries)

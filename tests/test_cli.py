@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -169,18 +170,21 @@ def same_text(got, want):
 
 class TestRepairReportBytes:
     """``repair`` stdout (timestamp masked) and the file it writes are the
-    bytes the dict-plus-``json.dumps`` encoder gives."""
+    bytes the dict-plus-``json.dumps`` encoder gives.  The edit list is
+    written two edits a block unless a case says otherwise, so that most
+    cases cross a block edge."""
 
     @staticmethod
-    def check(tmp_dir, t, labels=None, root=None):
-        path, out = str(tmp_dir / "in.bt"), str(tmp_dir / "out.bt")
+    def check(tmp_dir, t, labels=None, root=None, per_block=2, name="out.bt"):
+        path, out = str(tmp_dir / "in.bt"), str(tmp_dir / name)
         with open(path, "w", encoding="utf-8") as f:
             f.write(bt.serialize_tournament(t, labels))
         argv = ["repair", path, "-o", out]
         if root is not None:
             argv[2:2] = ["--root", str(root)]
         buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        with contextlib.redirect_stdout(buf), \
+                mock.patch.object(cli, "_EDITS_PER_BLOCK", per_block):
             assert main(argv) == 0
         with open(out, encoding="utf-8") as f:
             written = f.read()
@@ -226,12 +230,28 @@ class TestRepairReportBytes:
         result = self.check(tmp_path, bt.gen_cyclic(5, 0.9), labels=tuple("abcde"))
         assert result["edits"]
 
+    @pytest.mark.parametrize("per_block", [2, cli._EDITS_PER_BLOCK])
     @pytest.mark.parametrize("root", [None, 250])
-    def test_three_digit_ids(self, tmp_path, root):
+    def test_three_digit_ids(self, tmp_path, root, per_block):
         rng = np.random.default_rng(300)
         t = bt.gen_perturbed(bt.gen_bt(rng.uniform(0.5, 2.0, 300)), 0.001, 1)
-        result = self.check(tmp_path, t, root=root)
+        result = self.check(tmp_path, t, root=root, per_block=per_block)
         assert max(max(e["edge"]) for e in result["edits"]) >= 100
+        assert len(result["edits"]) > 2 * cli._EDITS_PER_BLOCK
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 5])
+    def test_edit_counts_at_block_edges(self, tmp_path, count):
+        # at root 0 of n = 5, six pairs avoid the root; each one moved off
+        # its BT weight is one edit
+        t = bt.gen_bt([1.0, 2.0, 4.0, 8.0, 16.0])
+        for x, y in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)][:count]:
+            t = bt.set_prob(t, x, y, 0.5)
+        assert len(self.check(tmp_path, t, root=0)["edits"]) == count
+
+    def test_output_path_holding_the_placeholder_text(self, tmp_path):
+        # the file name is the placeholder's JSON text, "\u0000edits".bt
+        result = self.check(tmp_path, bt.gen_cyclic(5, 0.9), name=json.dumps(cli._EDITS) + ".bt")
+        assert result["edits"]
 
 
 def stdout_bytes(write, newline):
@@ -270,6 +290,19 @@ class TestEmitSlices:
         text = json.dumps({"edits": [[i, i + 1, 0.1 * i] for i in range(200_000)]})
         assert len(text) > 3 * cli._SLICE
         self.check(text, cli._SLICE, None)
+
+    def test_the_edit_list_is_never_held_whole(self):
+        edits = [(i % 997, i % 991, 0.1 + 1e-7 * i, 0.2 + 3e-7 * i) for i in range(200_000)]
+        length = len(", ".join([cli._EDIT % e for e in edits]))
+        result = {"root": 0, "edits": [cli._EDITS], "total_change": 0.5}
+        with open(os.devnull, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                cli._emit("repair", {}, result, edits=edits)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < length / 4
 
 
 class TestFit:

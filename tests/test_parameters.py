@@ -1,8 +1,9 @@
 """Every public numeric and vector parameter goes through one of two rules:
 a value that is not a number, or lies outside its range, raises
 ParameterOutOfRangeError, and a vector of the wrong shape raises
-DimensionMismatchError.  On none of the inputs below does a raw numpy or
-Python error escape."""
+DimensionMismatchError.  A vertex that is not an integer, a vertex count
+that is not one and a record of the wrong length raise library errors too.
+On none of the inputs below does a raw numpy or Python error escape."""
 
 from fractions import Fraction
 
@@ -71,8 +72,8 @@ def test_a_vector_entry_that_is_not_a_positive_number_is_refused(site, value):
 
 
 @pytest.mark.parametrize("site", VECTORS)
-@pytest.mark.parametrize("value", [[1.0], [[1.0, 2.0, 4.0]], 1.0, None, "124", np.ones((3, 1))],
-                         ids=repr)
+@pytest.mark.parametrize("value", [[1.0], [[1.0, 2.0, 4.0]], 1.0, None, "124", np.ones((3, 1)),
+                                   [[1.0, 2.0], [4.0]], [1.0, [2.0, 4.0]]], ids=repr)
 def test_a_vector_of_the_wrong_shape_is_refused(site, value):
     with pytest.raises(bt.DimensionMismatchError):
         VECTORS[site](value)
@@ -110,3 +111,42 @@ def test_the_message_names_the_parameter_and_its_rule():
         bt.check_reversible(T, [1.0, 1.0, None])
     with pytest.raises(bt.DimensionMismatchError, match=r"^scores must be a 1-D vector of length 3$"):
         bt.verify_approx_bt(T, [1.0, 2.0], 0.1)
+
+
+TREE = [(0, 1, 0.5), (1, 2, 0.5)]
+
+#: One call per malformed vertex, vertex count or record: the error it
+#: raises and a pattern its message matches.
+MALFORMED = {
+    "DirectedCycle float vertex": (lambda: bt.DirectedCycle((0, 1, 2.5)),
+                                   bt.VertexOutOfRangeError, "vertex 2.5 "),
+    "DirectedCycle text vertex": (lambda: bt.DirectedCycle((0, "1", 2)),
+                                  bt.VertexOutOfRangeError, "vertex '1' "),
+    "Triangle float vertex": (lambda: bt.Triangle(0, 1.5, 2),
+                              bt.VertexOutOfRangeError, "vertex 1.5 "),
+    "Triangle text vertex": (lambda: bt.Triangle(0, 1, "2"),
+                             bt.VertexOutOfRangeError, "vertex '2' "),
+    "enumerate_triangles text count": (lambda: bt.enumerate_triangles("5"),
+                                       bt.ParameterOutOfRangeError, "n='5'"),
+    "fundamental_cycles float count": (lambda: bt.fundamental_cycles(3.0, [(0, 1), (1, 2)]),
+                                       bt.ParameterOutOfRangeError, "n=3.0"),
+    "TreeWeights text count": (lambda: bt.TreeWeights("3", TREE),
+                               bt.ParameterOutOfRangeError, "n='3'"),
+    "new_tournament two-field record": (
+        lambda: bt.new_tournament(3, [(0, 1), (0, 2, 0.5), (1, 2, 0.5)]),
+        bt.DimensionMismatchError, r"record \(0, 1\) "),
+    "new_tournament record that is no sequence": (
+        lambda: bt.new_tournament(3, [(0, 1, 0.5), 7, (1, 2, 0.5)]),
+        bt.DimensionMismatchError, "record 7 "),
+    "TreeWeights two-field record": (lambda: bt.TreeWeights(3, [(0, 1), (1, 2, 0.5)]),
+                                     bt.DimensionMismatchError, r"record \(0, 1\) "),
+    "fundamental_cycles three-field edge": (lambda: bt.fundamental_cycles(3, TREE),
+                                            bt.DimensionMismatchError, r"record \(0, 1, 0\.5\) "),
+}
+
+
+@pytest.mark.parametrize("site", MALFORMED)
+def test_a_malformed_vertex_count_or_record_is_refused(site):
+    call, error, message = MALFORMED[site]
+    with pytest.raises(error, match=message):
+        call()
