@@ -27,12 +27,11 @@ import numpy as np
 
 from .errors import (
     DegenerateCycleError,
+    DimensionMismatchError,
     NotASpanningTreeError,
-    OutOfRangeProbabilityError,
     SelfLoopError,
 )
 from .tournament import (
-    ETA,
     TAU,
     StochasticTournament,
     _check_id,
@@ -41,7 +40,8 @@ from .tournament import (
     _is_vertex,
     _potential_residual,
     _real,
-    _record,
+    _records,
+    _shaped,
     pair_index,
 )
 
@@ -73,7 +73,11 @@ class DirectedCycle:
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        vs = tuple(map(_check_id, self.vertices))
+        try:
+            vs = tuple(map(_check_id, self.vertices))
+        except TypeError:  # 5, or a 0-d array: no collection of vertices
+            raise DegenerateCycleError(
+                f"cycle vertices must be a collection, got {self.vertices!r}") from None
         if len(vs) < 3 or len(set(vs)) != len(vs):
             raise DegenerateCycleError(
                 f"cycle needs >= 3 distinct vertices, got {vs}"
@@ -110,7 +114,9 @@ class Discrepancy:
 def log_triangle_ratio(t: StochasticTournament, tri) -> float | np.ndarray:
     """log of the balance ratio; exactly 3 edge queries.  Also takes a
     ``(c, 3)`` array of sorted triangles and reads its 3c edges in one call."""
-    v = np.asarray(tri.vertices() if isinstance(tri, Triangle) else tri)
+    v = _shaped(tri.vertices() if isinstance(tri, Triangle) else tri)
+    if v.shape[-1:] != (3,):
+        raise DimensionMismatchError(f"a triangle is 3 vertices, got shape {v.shape}")
     ell = t.log_odds(v, v.take([1, 2, 0], axis=-1))  # edges xy, yz, zx
     ratio = ell[..., 0] + ell[..., 1] + ell[..., 2]
     return float(ratio) if ratio.ndim == 0 else ratio
@@ -295,14 +301,9 @@ class TreeWeights:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        edges = tuple(_record(e, ("u", "v", "w")) for e in self.edges)
+        edges = _records(self.edges, ("u", "v", "w"))
         _tree_structure(self.n, [(u, v) for u, v, _ in edges])  # validates
         edges = tuple((int(u), int(v), float(_real(w, u, v))) for u, v, w in edges)
-        for u, v, w in edges:
-            if not ETA <= w <= 1.0 - ETA:  # NaN too
-                raise OutOfRangeProbabilityError(
-                    f"tree weight {w} on ({u}, {v}) outside [{ETA}, {1.0 - ETA}]"
-                )
         object.__setattr__(self, "edges", edges)
 
 
@@ -313,15 +314,16 @@ def _tree_structure(n: int, tree_edges) -> tuple[np.ndarray, np.ndarray]:
     the complete graph on [0, n).
     """
     n = _check_n(n)
-    edges = [_record(e, ("u", "v")) for e in tree_edges]
+    edges = _records(tree_edges, ("u", "v"))
+    for u, v in edges:  # before any set hashes a vertex
+        if not (_is_vertex(u, n) and _is_vertex(v, n)) or u == v:
+            raise NotASpanningTreeError(f"bad tree edge ({u}, {v})")
     if len(edges) != n - 1 or len({frozenset(e) for e in edges}) != len(edges):
         raise NotASpanningTreeError(
             f"expected {n - 1} distinct edges, got {len(edges)}"
         )
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        if u == v or not (_is_vertex(u, n) and _is_vertex(v, n)):
-            raise NotASpanningTreeError(f"bad tree edge ({u}, {v})")
         adj[u].append(v)
         adj[v].append(u)
     parent = np.full(n, -1, dtype=int)

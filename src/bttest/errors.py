@@ -48,7 +48,8 @@ class TooFewVerticesError(TournamentError):
 
 
 class ParameterOutOfRangeError(TournamentError):
-    """A numeric parameter (eps, delta, noise, samples, ...) is out of range."""
+    """A parameter (eps, delta, noise, samples, a vertex count, a path, ...)
+    is of the wrong kind or out of range."""
 
 
 class PreconditionFailedError(TournamentError):

@@ -40,6 +40,7 @@ Tree files are the same with the ``bt-tree v1`` tag and n-1 records.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import warnings
@@ -50,7 +51,7 @@ import numpy as np
 
 from ._version import __version__
 from .balance import TreeWeights
-from .errors import LabelError, ParseError
+from .errors import LabelError, ParameterOutOfRangeError, ParseError
 from .tournament import RNG_ALGORITHM, StochasticTournament, new_tournament
 
 TOURNAMENT_TAG = "bt-tournament v1"
@@ -103,6 +104,8 @@ def _read(source: str | IO[str], tag: str):
     ``(x, y, value)``, in file order.
     """
     text = source if isinstance(source, str) else source.read()
+    if not isinstance(text, str):  # a stream opened in binary mode
+        raise ParseError(1, f"expected text, got {type(text).__name__}")
     lines = text.splitlines()
     n = None
     labels = None
@@ -201,15 +204,25 @@ def serialize_tournament(
     t: StochasticTournament, labels: tuple[str, ...] | None = None
 ) -> str:
     """Render a tournament file; inverse of :func:`parse_tournament`."""
-    lines = [TOURNAMENT_TAG, f"n={t.n}"]
-    if labels is not None:
-        if len(labels) != t.n:
-            raise LabelError(f"{len(labels)} labels for n={t.n} vertices")
-        if any("," in s or s.split() != [s] for s in labels):
-            raise LabelError("labels must be nonempty, without commas or whitespace")
-        lines.append("labels=" + ",".join(labels))
-    for x, y, w in t.edges():
-        lines.append(f"{x} {y} {w!r}")
+    if labels is None:
+        return _serialize(TOURNAMENT_TAG, t.n, t.edges())
+    try:
+        count = len(labels)
+    except TypeError:  # 5, np.array("a")
+        raise LabelError(f"labels must be a sequence of text, got {labels!r}") from None
+    if count != t.n:
+        raise LabelError(f"{count} labels for n={t.n} vertices")
+    if any(not isinstance(s, str) or "," in s or s.split() != [s] for s in labels):
+        raise LabelError("labels must be nonempty, without commas or whitespace")
+    return _serialize(TOURNAMENT_TAG, t.n, t.edges(), "labels=" + ",".join(labels))
+
+
+def _serialize(tag: str, n: int, records, *header: str) -> str:
+    """The one writer of both file kinds: the tag, ``n=``, any further
+    ``header`` lines, then one ``x y w`` line per record, ``w`` written with
+    ``repr`` so that it reads back bit for bit."""
+    lines = [tag, f"n={n}", *header]
+    lines.extend([f"{x} {y} {w!r}" for x, y, w in records])
     return "\n".join(lines) + "\n"
 
 
@@ -220,19 +233,26 @@ def parse_tree(source: str | IO[str]) -> TreeWeights:
 
 
 def serialize_tree(tw: TreeWeights) -> str:
-    lines = [TREE_TAG, f"n={tw.n}"]
-    for u, v, w in tw.edges:
-        lines.append(f"{u} {v} {w!r}")
-    return "\n".join(lines) + "\n"
+    """Render a tree file; inverse of :func:`parse_tree`."""
+    return _serialize(TREE_TAG, tw.n, tw.edges)
 
 
-def load_tournament(path: str) -> TournamentDocument:
-    with open(path, "r", encoding="utf-8") as f:
+def _open(path: str | bytes | os.PathLike) -> IO[str]:
+    """The file at ``path`` opened for reading as UTF-8 text.  Only a path is
+    taken: ``open`` reads an integer as a file descriptor, and closing it
+    would close the caller's stdin or stdout."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ParameterOutOfRangeError(f"path must be a str, bytes or os.PathLike, got {path!r}")
+    return open(path, "r", encoding="utf-8")
+
+
+def load_tournament(path: str | os.PathLike) -> TournamentDocument:
+    with _open(path) as f:
         return parse_document(f)
 
 
-def load_tree(path: str) -> TreeWeights:
-    with open(path, "r", encoding="utf-8") as f:
+def load_tree(path: str | os.PathLike) -> TreeWeights:
+    with _open(path) as f:
         return parse_tree(f)
 
 

@@ -36,12 +36,12 @@ from .errors import (
     ClampWarning,
     DeskScaleExceededError,
     PreconditionFailedError,
-    TooFewVerticesError,
 )
 from .tournament import (
     ETA,
     TAU,
     StochasticTournament,
+    _check_n,
     _check_param,
     _check_positive,
     _frozen,
@@ -140,8 +140,7 @@ def best_root(t: StochasticTournament) -> int:
     choice on an already-reversible input.  The winning sum is at most
     ``(3/n) * sum_T disc(T)`` by the averaging identity.
     """
-    if t.n < 3:
-        raise TooFewVerticesError(f"best_root needs n >= 3, got n={t.n}")
+    _check_n(t.n, 3)
     per_root = total_discrepancy(t).per_root
     return int(np.argmax(per_root <= per_root.min() + TAU))
 

@@ -29,7 +29,6 @@ from typing import Iterator
 import numpy as np
 
 from .balance import Triangle, log_triangle_ratio
-from .errors import TooFewVerticesError
 from .tournament import (
     _INTEGER, TAU, StochasticTournament, _check_n, _check_param, _check_seed, _rng)
 
@@ -153,8 +152,7 @@ def test_bt(t: StochasticTournament, cfg: TesterConfig) -> TestVerdict:
     first unbalanced triangle as witness; deterministic given the seed.
     Reads ``t`` only through ``t.n`` and one ``t.log_odds`` call per chunk.
     """
-    if t.n < 3:
-        raise TooFewVerticesError(f"tester needs n >= 3, got n={t.n}")
+    _check_n(t.n, 3)
     k = sample_size(cfg.eps, cfg.delta)
     bound = TAU if cfg.eps_balance is None else math.log1p(cfg.eps_balance)
     used = 0
@@ -177,8 +175,7 @@ def estimate_unbalanced_fraction(
     Unbiased estimator of |B| / C(n, 3) where B is the set of unbalanced
     triangles; purely diagnostic.
     """
-    if t.n < 3:
-        raise TooFewVerticesError(f"need n >= 3, got n={t.n}")
+    _check_n(t.n, 3)
     _check_param("samples", samples, "an integer >= 1",
                  lambda k: isinstance(k, _INTEGER) and k >= 1)
     chunks = _triangles(_rng(seed), t.n, samples, _CHUNK)

@@ -18,6 +18,7 @@ balance and exact reversibility are judged up to the fixed tolerance
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import numbers
@@ -47,7 +48,15 @@ TAU = 1e-9
 #: Identifier of the generator behind every seeded operation.
 RNG_ALGORITHM = "numpy-pcg64"
 
-#: Types a vertex id may have, built once rather than on every check.
+#: Most pairs a vertex count may have (n = 10**6 has 5e11): a larger count
+#: is refused before any array is asked for.
+MAX_PAIRS = 2**40
+
+#: The largest vertex count with at most ``MAX_PAIRS`` pairs.
+_MAX_N = (1 + math.isqrt(1 + 8 * MAX_PAIRS)) // 2
+
+#: Types a vertex id may have, built once rather than on every check; see
+#: :func:`_is_integer`.
 _INTEGER = (int, np.integer)
 
 #: Types an orientation flag may have; its value must be 0 or 1 too.
@@ -61,20 +70,26 @@ def _check_param(name: str, value, rule: str, inside) -> None:
     """The one rule for a scalar parameter: a number under :func:`_non_number`
     for which ``inside(value)`` holds (written so that NaN fails it), else
     ParameterOutOfRangeError naming ``rule``."""
-    if _non_number(type(value)):
+    if _non_number(type(value)) and _non_number(_kind(value)):  # a 0-d array by its element
         raise ParameterOutOfRangeError(f"{name} must be a real number, got {value!r}")
-    if not inside(value):
+    if not _holds(inside, value):
         raise ParameterOutOfRangeError(f"{name} must be {rule}, got {value}")
+
+
+def _holds(inside, value) -> bool:
+    """``inside(value)``, or False for a ``Decimal`` NaN, which raises
+    rather than compare."""
+    try:
+        return inside(value)
+    except ArithmeticError:
+        return False
 
 
 def _check_positive(name: str, values, n: int | None = None) -> np.ndarray:
     """The one rule for a score vector or measure: a 1-D vector of ``n``
     entries (at least 2 when ``n`` is None), each a number under
     :func:`_non_number`, finite and > 0; returned as float64."""
-    try:
-        given = np.asarray(values)
-    except ValueError:  # a ragged nest, [[1, 2], [3]], is no 1-D vector either
-        given = np.empty((0, 0))
+    given = _shaped(values)
     if given.ndim != 1 or (given.size < 2 if n is None else given.size != n):
         raise DimensionMismatchError(
             f"{name} must be a 1-D vector of length {'>= 2' if n is None else n}")
@@ -82,7 +97,7 @@ def _check_positive(name: str, values, n: int | None = None) -> np.ndarray:
         # the caller's entries, not numpy's coercion: [1, True] is all integers
         entries = given.tolist() if isinstance(values, np.ndarray) else list(values)
         for v in entries:
-            if _non_number(type(v)):
+            if _non_number(type(v)) and _non_number(_kind(v)):
                 raise ParameterOutOfRangeError(f"{name} entry {v!r} is not a real number")
     a = np.asarray(given, dtype=float)
     if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
@@ -100,15 +115,19 @@ def _check_seed(seed) -> None:
 
 def _check_n(n, least: int = 2) -> int:
     """The one rule for a vertex count: an ``int`` or numpy integer, not a
-    bool, of at least ``least``, returned as an ``int`` so that no count
-    arithmetic wraps in a narrow type.  Below 2 there is no tournament
-    (VertexOutOfRangeError); below a larger ``least`` the operation has too
-    few vertices (TooFewVerticesError)."""
-    if isinstance(n, bool) or not isinstance(n, _INTEGER):
+    bool, of at least ``least`` and with at most ``MAX_PAIRS`` pairs,
+    returned as an ``int`` so that no count arithmetic wraps in a narrow
+    type.  Below 2 there is no tournament (VertexOutOfRangeError); below a
+    larger ``least`` the operation has too few vertices
+    (TooFewVerticesError); past the ceiling, ParameterOutOfRangeError, before
+    anything is allocated."""
+    if isinstance(n, bool) or not _is_integer(n):
         raise ParameterOutOfRangeError(f"vertex count must be an integer, got n={n!r}")
     if n < least:
         error = VertexOutOfRangeError if least == 2 else TooFewVerticesError
         raise error(f"need at least {least} vertices, got n={n}")
+    if n > _MAX_N:
+        raise ParameterOutOfRangeError(f"vertex count n={n} has more than 2**40 pairs")
     return int(n)
 
 
@@ -140,39 +159,73 @@ def _pair_of(n: int, i: int) -> tuple[int, int]:
     return x, i - pair_index(n, x, x + 1) + x + 1
 
 
+def _is_integer(v) -> bool:
+    """An ``int`` or numpy integer, bools included; not ``np.timedelta64``,
+    a duration that numpy derives from its integers."""
+    return type(v) is int or (isinstance(v, _INTEGER) and not isinstance(v, np.timedelta64))
+
+
 def _is_vertex(v, n: int) -> bool:
     """The one rule for a vertex id: an ``int`` or numpy integer in ``[0, n)``."""
-    return isinstance(v, _INTEGER) and 0 <= v < n
+    return _is_integer(v) and 0 <= v < n
 
 
 def _check_id(v) -> int:
     """The type half of :func:`_is_vertex`: ``v`` as an ``int``, or an error."""
-    if not isinstance(v, _INTEGER):
+    if not _is_integer(v):
         raise VertexOutOfRangeError(f"vertex {v!r} is not an integer")
     return int(v)
 
 
 def _record(record, fields: tuple[str, ...]) -> tuple:
     """``record`` as a tuple of its ``fields``, or an error that names it."""
-    if not hasattr(record, "__len__") or len(record) != len(fields):
+    try:
+        fits = len(record) == len(fields)
+    except TypeError:  # no sized collection: 7, np.array(7)
+        fits = False
+    if not fits:
         raise DimensionMismatchError(f"record {record!r} is not ({', '.join(fields)})")
     return tuple(record)
 
 
+def _records(records, fields: tuple[str, ...]) -> list[tuple]:
+    """Each of ``records`` through :func:`_record`, or an error that names
+    ``records`` when it is no collection."""
+    try:
+        records = iter(records)
+    except TypeError:
+        raise DimensionMismatchError(
+            f"{records!r} is not a collection of ({', '.join(fields)}) records") from None
+    return [_record(r, fields) for r in records]
+
+
 def _non_real(kind: type) -> bool:
-    """A weight type that is text, None or complex, which numpy would parse,
-    refuse with a raw error or truncate; a weight of any other type is read
-    with ``float`` as given."""
-    return kind is type(None) or issubclass(kind, (str, bytes)) or (
-        issubclass(kind, numbers.Complex) and not issubclass(kind, numbers.Real))
+    """Not a type a weight may have.  A number is a ``numbers.Real``, where
+    numpy's real scalars and ``Fraction`` register, or a ``decimal.Decimal``;
+    not ``np.timedelta64``, a duration that numpy registers there too.  A
+    0-d array is judged by its element (see :func:`_kind`)."""
+    return (not issubclass(kind, (numbers.Real, decimal.Decimal))
+            or issubclass(kind, np.timedelta64))
+
+
+def _kind(v) -> type:
+    """The type the number rules judge ``v`` by: that of the element of a
+    0-d array, which is read as that element, else its own.  An array of
+    one or more dimensions is no number, one element or many."""
+    return type(v[()] if isinstance(v, np.ndarray) and v.ndim == 0 else v)
 
 
 def _real(w, x, y):
-    """``w`` as given, unless :func:`_non_real` refuses its type: then an
-    error that names the pair (x, y) it was given for."""
-    if _non_real(type(w)):
+    """``w`` as given, unless :func:`_non_real` refuses it or it lies outside
+    ``[ETA, 1 - ETA]``: then an error that names the pair (x, y) it was
+    given for."""
+    if _non_real(_kind(w)):
         raise OutOfRangeProbabilityError(
             f"p={w!r} for pair ({x}, {y}) is not a real number"
+        )
+    if not _holds(lambda v: ETA <= v <= 1.0 - ETA, w):  # NaN too
+        raise OutOfRangeProbabilityError(
+            f"p={w} for pair ({x}, {y}) outside [{ETA}, {1.0 - ETA}]"
         )
     return w
 
@@ -188,6 +241,15 @@ def _non_number(kind: type) -> bool:
     number: the rule for every numeric parameter.  Cached per type, since
     the tester checks its parameters on every run."""
     return _non_real(kind) or issubclass(kind, (bool, np.bool_))
+
+
+def _shaped(values) -> np.ndarray:
+    """``np.asarray(values)``, or an empty 2-D array for a ragged nest such as
+    ``[[1, 2], [3]]``, which has no shape and so fits no vector."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        return np.empty((0, 0))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -255,8 +317,8 @@ class StochasticTournament:
     def __post_init__(self):
         object.__setattr__(self, "n", _check_n(self.n))
         m = self.n * (self.n - 1) // 2
-        given = np.asarray(self.weights)
-        flags = np.asarray(self.low_wins)
+        given = _shaped(self.weights)
+        flags = _shaped(self.low_wins)
         if given.shape != (m,) or flags.shape != (m,):
             raise DimensionMismatchError(
                 f"expected {m} pair entries for n={self.n}, "
@@ -283,18 +345,15 @@ class StochasticTournament:
             # the caller's entries, not numpy's coercion: [0.5, "x"] is all strings
             kinds = [type(w) for w in self.weights]
             bad = {k for k in set(kinds) if _non_real(k)}  # one check per type
-            if bad:
-                i = next(i for i, k in enumerate(kinds) if k in bad)
-                _real(self.weights[i], *pair(i))  # raises
+            for i in (i for i, k in enumerate(kinds) if k in bad):
+                if _non_real(_kind(self.weights[i])):  # a 0-d array of a number passes
+                    _real(self.weights[i], *pair(i))  # raises
         weights = _adopt(given, np.float64)
         if not (ETA <= weights.min() and weights.max() <= 1.0 - ETA):  # NaN too
             inside = ETA <= weights
             inside &= weights <= 1.0 - ETA
             i = int(np.argmin(inside))
-            x, y = pair(i)
-            raise OutOfRangeProbabilityError(
-                f"p={weights[i]} for pair ({x}, {y}) outside [{ETA}, {1.0 - ETA}]"
-            )
+            _real(weights[i], *pair(i))  # raises
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "low_wins", low_wins)
 
@@ -403,7 +462,7 @@ def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if isinstance(entries, np.ndarray) and entries.dtype.names:
         x, y, p = (entries[f] for f in entries.dtype.names)
         return x, y, p
-    rows = [_record(r, ("x", "y", "p")) for r in entries]
+    rows = _records(entries, ("x", "y", "p"))
     x, y, p = (np.fromiter((r[j] for r in rows), object, len(rows)) for j in range(3))
     return x, y, p
 
@@ -532,14 +591,15 @@ def gen_cyclic(n: int, p: float) -> StochasticTournament:
     """Rock-paper-scissors style tournament: x_i beats x_{i+1 mod n} with
     probability ``p``; all other pairs are fair coins."""
     n = _check_n(n)
+    p = _real(p, 0, 1)
     m = n * (n - 1) // 2
     weights = np.full(m, 0.5)
     low_wins = np.ones(m, dtype=bool)
-    for x in range(n):
-        y = (x + 1) % n
-        i = pair_index(n, min(x, y), max(x, y))
-        weights[i] = _real(p, x, y)
-        low_wins[i] = x < y
+    x = np.arange(n - 1)
+    weights[pair_index(n, x, x + 1)] = p
+    # the wrap pair is stored n - 1 -> 0, last, so that at n = 2 it wins
+    wrap = pair_index(n, 0, n - 1)
+    weights[wrap], low_wins[wrap] = p, False
     return StochasticTournament(n, _frozen(weights), _frozen(low_wins))
 
 

@@ -292,6 +292,11 @@ class TestFundamentalCycles:
         t = bt.gen_random(4, 0)
         assert bt.check_fundamental_cycles(t, iter(tree)) == bt.check_fundamental_cycles(t, tree)
 
+    def test_a_tree_that_misses_a_vertex(self):
+        # three distinct edges for n = 4, but a triangle that leaves out 3
+        with pytest.raises(bt.NotASpanningTreeError, match="does not reach every vertex"):
+            bt.fundamental_cycles(4, [(0, 1), (1, 2), (0, 2)])
+
     def test_not_a_spanning_tree(self, cyclic3):
         with pytest.raises(bt.NotASpanningTreeError):
             bt.check_fundamental_cycles(cyclic3, [(0, 1)])  # too few

@@ -38,6 +38,15 @@ class TestParseTournament:
             bt.parse_tournament("bt-tournament v1\nn=2\n0 1\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("bt-tournament v1\nn=abc\n0 1 0.5\n", "line 2: bad vertex count 'abc'"),
+        ("bt-tournament v1\n", "line 1: missing n= line"),
+        ("bt-tournament v1\n# no body\n\n", "line 3: missing n= line"),
+    ])
+    def test_bad_or_absent_count(self, text, message):
+        with pytest.raises(bt.ParseError, match=f"^{message}$"):
+            bt.parse_tournament(text)
+
     def test_missing_n(self):
         with pytest.raises(bt.ParseError):
             bt.parse_tournament("bt-tournament v1\n0 1 0.5\n")

@@ -5,6 +5,7 @@ DimensionMismatchError.  A vertex that is not an integer, a vertex count
 that is not one and a record of the wrong length raise library errors too.
 On none of the inputs below does a raw numpy or Python error escape."""
 
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +49,21 @@ VECTORS = {
     "scores_to_stationary scores": bt.scores_to_stationary,
 }
 
-NOT_NUMBERS = ["0.1", None, 0.1j, True, np.True_, float("nan")]
+
+class Opaque:
+    """An object of no number type, with a repr that names the test alike on
+    every run."""
+
+    def __repr__(self):
+        return "Opaque()"
+
+
+NOT_NUMBERS = ["0.1", None, 0.1j, True, np.True_, float("nan"),
+               [], {}, (0.1,), Opaque(), np.array([0.1, 0.2])]
+
+#: The values above that may stand as an entry of a vector: a sequence there
+#: makes the vector ragged, which is a wrong shape (see below).
+NOT_ENTRIES = [v for v in NOT_NUMBERS if np.ndim(v) == 0]
 
 
 @pytest.mark.parametrize("site, value", [
@@ -62,7 +77,7 @@ def test_a_scalar_that_is_not_a_number_in_range_is_refused(site, value):
 
 
 @pytest.mark.parametrize("site", VECTORS)
-@pytest.mark.parametrize("value", NOT_NUMBERS + [0.0, -1.0, float("inf")], ids=repr)
+@pytest.mark.parametrize("value", NOT_ENTRIES + [0.0, -1.0, float("inf")], ids=repr)
 def test_a_vector_entry_that_is_not_a_positive_number_is_refused(site, value):
     # a list and an object array keep the caller's entries; a float array
     # would have read True as 1.0
@@ -114,6 +129,7 @@ def test_the_message_names_the_parameter_and_its_rule():
 
 
 TREE = [(0, 1, 0.5), (1, 2, 0.5)]
+T2 = bt.gen_random(2, 0)
 
 #: One call per malformed vertex, vertex count or record: the error it
 #: raises and a pattern its message matches.
@@ -142,7 +158,75 @@ MALFORMED = {
                                      bt.DimensionMismatchError, r"record \(0, 1\) "),
     "fundamental_cycles three-field edge": (lambda: bt.fundamental_cycles(3, TREE),
                                             bt.DimensionMismatchError, r"record \(0, 1, 0\.5\) "),
+    "DirectedCycle no collection": (lambda: bt.DirectedCycle(5),
+                                    bt.DegenerateCycleError, "got 5$"),
+    "DirectedCycle 0-d array": (lambda: bt.DirectedCycle(np.array(5)),
+                                bt.DegenerateCycleError, r"got array\(5\)$"),
+    "fundamental_cycles unhashable vertex": (lambda: bt.fundamental_cycles(3, [([0], 1), (1, 2)]),
+                                             bt.NotASpanningTreeError, r"\(\[0\], 1\)"),
+    "new_tournament records that are no collection": (lambda: bt.new_tournament(3, 7),
+                                                      bt.DimensionMismatchError, "^7 is not"),
+    "new_tournament 0-d array record": (lambda: bt.new_tournament(2, [np.array(7)]),
+                                        bt.DimensionMismatchError, r"record array\(7\) "),
+    "TreeWeights edges that are no collection": (lambda: bt.TreeWeights(3, None),
+                                                 bt.DimensionMismatchError, "^None is not"),
+    "StochasticTournament ragged weights": (
+        lambda: bt.StochasticTournament(3, [0.5, [0.5], 0.5], [True] * 3),
+        bt.DimensionMismatchError, "expected 3 pair entries"),
+    "log_triangle_ratio two vertices": (lambda: bt.log_triangle_ratio(T, [0, 1]),
+                                        bt.DimensionMismatchError, r"got shape \(2,\)"),
+    "test_bt two vertices": (lambda: bt.test_bt(T2, bt.TesterConfig(0.1)),
+                             bt.TooFewVerticesError, "^need at least 3 vertices, got n=2$"),
+    "estimate_unbalanced_fraction two vertices": (
+        lambda: bt.estimate_unbalanced_fraction(T2, 10, 0),
+        bt.TooFewVerticesError, "^need at least 3 vertices, got n=2$"),
+    "best_root two vertices": (lambda: bt.best_root(T2),
+                               bt.TooFewVerticesError, "^need at least 3 vertices, got n=2$"),
+    "load_tournament file descriptor": (lambda: bt.load_tournament(1),
+                                        bt.ParameterOutOfRangeError, "^path must be"),
+    "load_tree file descriptor": (lambda: bt.load_tree(0),
+                                  bt.ParameterOutOfRangeError, "^path must be"),
+    "serialize_tournament labels that are no sequence": (
+        lambda: bt.serialize_tournament(T, 3), bt.LabelError, "got 3$"),
+    "parse_tournament binary stream": (
+        lambda: bt.parse_tournament(io.BytesIO(bt.serialize_tournament(T).encode())),
+        bt.ParseError, "^line 1: expected text, got bytes$"),
+    "serialize_tournament labels that are no text": (
+        lambda: bt.serialize_tournament(T, [0, 1, 2]), bt.LabelError, "nonempty"),
 }
+
+def _objects(*values):
+    """An object array of ``values`` as they are: a list would make a
+    sequence among them a ragged shape."""
+    a = np.empty(len(values), dtype=object)
+    for i, v in enumerate(values):
+        a[i] = v
+    return a
+
+
+#: One call per weight site, with the weight under test as its argument.
+WEIGHTS = {
+    "StochasticTournament": lambda w: bt.StochasticTournament(3, _objects(0.5, w, 0.5), [True] * 3),
+    "new_tournament": lambda w: bt.new_tournament(3, [(0, 1, 0.5), (0, 2, w), (1, 2, 0.5)]),
+    "TreeWeights": lambda w: bt.TreeWeights(3, [(0, 1, 0.5), (1, 2, w)]),
+    "set_prob": lambda w: bt.set_prob(T, 0, 1, w),
+    "gen_cyclic": lambda w: bt.gen_cyclic(3, w),
+}
+
+
+@pytest.mark.parametrize("site", WEIGHTS)
+@pytest.mark.parametrize("value", [[0.5], {}, Opaque(), np.array([0.5, 0.5]), np.array([0.5]),
+                                   np.array("0.5"), np.timedelta64(1, "s")], ids=repr)
+def test_a_weight_that_is_not_a_number_is_refused(site, value):
+    with pytest.raises(bt.OutOfRangeProbabilityError, match="is not a real number"):
+        WEIGHTS[site](value)
+
+
+@pytest.mark.parametrize("site", WEIGHTS)
+def test_a_weight_outside_the_band_gives_one_message(site):
+    with pytest.raises(bt.OutOfRangeProbabilityError,
+                       match=r"^p=1\.5 for pair \(\d, \d\) outside \[1e-12, 0\.999999999999\]$"):
+        WEIGHTS[site](1.5)
 
 
 @pytest.mark.parametrize("site", MALFORMED)

@@ -2,6 +2,7 @@
 and the desk-scale distance oracle."""
 
 import math
+import sys
 import warnings
 from itertools import combinations
 
@@ -565,6 +566,16 @@ class TestDistanceOracle:
         ]
         np.testing.assert_allclose(_l1_objective(p, phis), expected, rtol=1e-12)
         assert _l1_objective(p, phis[0]) == pytest.approx(expected[0], rel=1e-12)
+
+    def test_line_search_cap(self, monkeypatch):
+        t = bt.gen_random(5, 0)
+        full = bt.l1_distance_oracle(t)
+        root_upper = min(bt.repair_with_root(t, r)[1].total_change for r in range(5))
+        monkeypatch.setattr(sys.modules["bttest.repair"], "_LINE_SEARCHES", 1)
+        capped = bt.l1_distance_oracle(t)
+        # one line search stops short of the full descent, inside the bracket
+        assert full.upper < capped.upper <= root_upper + 1e-12
+        assert capped.lower == full.lower <= capped.upper
 
     def test_desk_scale_limit(self):
         with pytest.raises(bt.DeskScaleExceededError):

@@ -1,5 +1,7 @@
 """Tournament construction, queries, Markov chains, generators."""
 
+import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -141,6 +143,13 @@ class TestProb:
         # TreeWeights must refuse 0.5 rather than truncate it to vertex 0
         with pytest.raises(bt.NotASpanningTreeError):
             read(cyclic3)
+
+    def test_equality_and_hash(self, cyclic3):
+        same = bt.gen_cyclic(3, 0.9)
+        assert same == cyclic3 and hash(same) == hash(cyclic3)
+        assert cyclic3 != bt.gen_cyclic(3, 0.8)
+        assert cyclic3 != (3, cyclic3.weights, cyclic3.low_wins)
+        assert cyclic3.__eq__("cyclic3") is NotImplemented
 
     def test_immutable(self, cyclic3):
         with pytest.raises(ValueError):
@@ -452,6 +461,35 @@ class TestVertexCount:
     def test_below_two_keeps_its_error(self, make, n):
         with pytest.raises(bt.VertexOutOfRangeError, match="need at least 2 vertices"):
             make(n)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: bt.gen_random(n, 0),
+        lambda n: bt.gen_cyclic(n, 0.9),
+        lambda n: bt.StochasticTournament(n, [], []),
+        lambda n: bt.new_tournament(n, []),
+        lambda n: bt.enumerate_triangles(n),
+        lambda n: bt.fundamental_cycles(n, []),
+        lambda n: bt.sample_triangle(np.random.default_rng(0), n),
+    ])
+    @pytest.mark.parametrize("n", [2**21, 2**33, 2**40, 10**30, np.uint64(2**63)], ids=repr)
+    def test_past_the_pair_ceiling_is_refused_before_any_allocation(self, make, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(bt.ParameterOutOfRangeError, match=r"more than 2\*\*40 pairs"):
+                make(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_the_pair_ceiling_admits_a_million_vertices(self):
+        top = (1 + math.isqrt(1 + 8 * bt.tournament.MAX_PAIRS)) // 2
+        assert top * (top - 1) // 2 <= 2**40 < (top + 1) * top // 2
+        assert top > 10**6
+        rng = np.random.default_rng(0)
+        assert max(bt.sample_triangle(rng, top).vertices()) < top  # no pair array
+        with pytest.raises(bt.ParameterOutOfRangeError):
+            bt.sample_triangle(rng, top + 1)
 
     def test_numpy_integers_are_counts(self):
         # n(n - 1)/2 in uint8 would wrap at n = 200
