@@ -38,11 +38,11 @@ from .tournament import (
     _check_n,
     _check_param,
     _is_vertex,
+    _pair_index,
     _potential_residual,
     _real,
     _records,
     _shaped,
-    pair_index,
 )
 
 
@@ -122,11 +122,14 @@ def log_triangle_ratio(t: StochasticTournament, tri) -> float | np.ndarray:
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def triangle_ratio(t: StochasticTournament, tri: Triangle) -> float:
+def triangle_ratio(t: StochasticTournament, tri) -> float | np.ndarray:
     """Balance ratio lambda = (p_xy p_yz p_zx) / (p_yx p_zy p_xz) for the
     canonical orientation x -> y -> z -> x.  Reversing the orientation
-    inverts the ratio."""
-    return math.exp(log_triangle_ratio(t, tri))
+    inverts the ratio.  Takes what :func:`log_triangle_ratio` takes: an
+    array of triangles gives ``np.exp`` of its log ratios, one triangle
+    ``math.exp`` of its own."""
+    ratio = log_triangle_ratio(t, tri)
+    return math.exp(ratio) if isinstance(ratio, float) else np.exp(ratio)
 
 
 def is_balanced(t: StochasticTournament, tri: Triangle) -> bool:
@@ -208,7 +211,7 @@ def _triangle_slabs(
     list ``np.triu_indices(n, 1)``.
 
     The pairs y < z above x are the suffix of the pair list that starts at
-    ``s = pair_index(n, x + 1, x + 2)``, and ``e = (L_xy, L_yz, L_zx)`` is
+    ``s = _pair_index(n, x + 1, x + 2)``, and ``e = (L_xy, L_yz, L_zx)`` is
     read over them as ``row[ys]``, ``upper[s:]`` and ``-row[zs]`` with
     ``row = ell[x]`` and ``upper = ell[lo, hi]`` gathered once; ``-L_xz``
     is ``L_zx`` bit for bit because ``ell`` is exactly skew.  Working memory
@@ -216,14 +219,9 @@ def _triangle_slabs(
     n = ell.shape[0]
     upper = ell[lo, hi]
     for x in range(n - 2):
-        s = pair_index(n, x + 1, x + 2)
+        s = _pair_index(n, x + 1, x + 2)
         row = ell[x]
         yield x, s, (row[lo[s:]], upper[s:], -row[hi[s:]])
-
-
-def _edge_log_odds(ell: np.ndarray, x, y, z) -> np.ndarray:
-    """Stacked edge log-odds ``(L_xy, L_yz, L_zx)`` of triangles x -> y -> z -> x."""
-    return np.stack((ell[x, y], ell[y, z], ell[z, x]))
 
 
 def _curl(e: np.ndarray):

@@ -27,7 +27,6 @@ from .balance import (
     _curl,
     _disc_max,
     _disc_min,
-    _edge_log_odds,
     _tree_potential,
     _triangle_slabs,
     total_discrepancy,
@@ -44,11 +43,12 @@ from .tournament import (
     _check_n,
     _check_param,
     _check_positive,
-    _frozen,
+    _pair_index,
+    _small_side,
+    _with_pairs,
     check_reversible,
     logistic,
     logit,
-    pair_index,
 )
 
 #: Desk-scale ceiling for the exhaustive L1 distance oracle.
@@ -81,17 +81,6 @@ class RepairReport:
     clamped: tuple[tuple[int, int], ...]
 
 
-def _small_side(ell):
-    """Stored form of pairs whose first vertex beats the second at log-odds
-    ``ell``: the small side's weight ``logistic(-|ell|)`` (at most 1/2)
-    floored at ETA, whether the first vertex is its tail (also on a tie),
-    and where the floor moved a weight by more than rounding."""
-    weights = logistic(-np.abs(ell))
-    # a weight whose exact value is ETA can round a few ulp below it
-    floored = weights < ETA - 16 * np.spacing(ETA)
-    return np.maximum(weights, ETA), ell <= 0.0, floored
-
-
 def repair_with_root(
     t: StochasticTournament, r: int
 ) -> tuple[StochasticTournament, RepairReport]:
@@ -107,8 +96,10 @@ def repair_with_root(
     """
     r = t._check_vertex(r)
     u, v = t._oriented()
-    # edge log-odds of triangle (u, v, r) traversed u -> v -> r -> u
-    e = _edge_log_odds(t.log_odds_matrix(), u, v, r)
+    col = np.insert(t.log_odds(np.delete(np.arange(t.n), r), r), r, 0.0)  # L[., r]
+    # edge log-odds of triangle (u, v, r) traversed u -> v -> r -> u, with
+    # L[u, v] of the stored edge u -> v the logit of its weight
+    e = np.stack((logit(t.weights), col[v], -col[u]))
     idx = np.flatnonzero((np.abs(_curl(e)) > TAU) & (u != r) & (v != r))
     u, v, e, w = u[idx], v[idx], e[:, idx], t.weights[idx]
     # L[u, r] + L[r, v], reordered exactly
@@ -116,10 +107,7 @@ def repair_with_root(
     x, y = np.where(keep, u, v), np.where(keep, v, u)
     old = np.where(keep, w, 1.0 - w)
     edit = old != new
-    weights, low_wins = t.weights.copy(), t.low_wins.copy()
-    weights[idx[edit]] = new[edit]
-    low_wins[idx[edit]] = (x < y)[edit]
-    repaired = StochasticTournament(t.n, _frozen(weights), _frozen(low_wins))
+    repaired = _with_pairs(t, x[edit], y[edit], new[edit])
     # every |edit| must stay within the discrepancy of its triangle
     disc = _disc_max(e)
     change = np.abs(new - old)
@@ -252,17 +240,17 @@ def extend_tree(tw: TreeWeights) -> StochasticTournament:
 
     lo, hi = np.triu_indices(n, k=1)
     weights, low_wins, outside = _small_side(log_pi[hi] - log_pi[lo])
-    for u, v, w in tw.edges:
-        i = pair_index(n, min(u, v), max(u, v))
-        weights[i], low_wins[i], outside[i] = w, u < v, False
-    clamped = int(outside.sum())
+    u, v, w = (np.array(c) for c in zip(*tw.edges))
+    # a tree edge keeps its input weight, so a floor there is no clamp
+    tree = _pair_index(n, np.minimum(u, v), np.maximum(u, v))
+    clamped = int(outside.sum() - outside[tree].sum())
     if clamped:
         warnings.warn(
             f"{clamped} chord weight(s) clamped into [{ETA}, {1.0 - ETA}]",
             ClampWarning,
             stacklevel=2,
         )
-    return StochasticTournament(n, _frozen(weights), _frozen(low_wins))
+    return _with_pairs(StochasticTournament(n, weights, low_wins), u, v, w)
 
 
 def fit_scores_least_squares(t: StochasticTournament) -> np.ndarray:

@@ -29,8 +29,9 @@ from typing import Iterator
 import numpy as np
 
 from .balance import Triangle, log_triangle_ratio
+from .errors import ParameterOutOfRangeError
 from .tournament import (
-    _INTEGER, TAU, StochasticTournament, _check_n, _check_param, _check_seed, _rng)
+    _INTEGER, MAX_PAIRS, TAU, StochasticTournament, _check_n, _check_param, _check_seed, _rng)
 
 #: Triangles per chunk at most; bounds the tester's memory.
 _CHUNK = 1024
@@ -91,11 +92,17 @@ def sample_size(eps: float, delta: float = 1.0 / 3.0) -> int:
     """Number of triangle samples needed: ceil(ln(1/delta) / -ln(1-eps)).
 
     Satisfies (1-eps)^result <= delta.  At delta = 1/3 the result stays
-    below 2/eps for every eps in (0, 1).
+    below 2/eps for every eps in (0, 1).  A run's cost grows linearly with
+    it, so a result above ``MAX_PAIRS`` (2**40, admitted at delta = 1/3 for
+    every eps >= 1e-12) raises ParameterOutOfRangeError.
     """
     _check_param("eps", eps, "in (0, 1)", lambda e: 0.0 < e < 1.0)
     _check_param("delta", delta, "in (0, 1)", lambda d: 0.0 < d < 1.0)
-    return math.ceil(math.log(1.0 / delta) / -math.log1p(-eps))
+    k = math.log(1.0 / delta) / -math.log1p(-eps)
+    if not k <= MAX_PAIRS:  # inf too
+        raise ParameterOutOfRangeError(
+            f"eps={eps}, delta={delta} need {k:.3g} samples, more than 2**40")
+    return math.ceil(k)
 
 
 def sample_triangle(rng: np.random.Generator, n: int) -> Triangle:
@@ -173,11 +180,13 @@ def estimate_unbalanced_fraction(
     (beyond ``TAU`` on |log lambda|).
 
     Unbiased estimator of |B| / C(n, 3) where B is the set of unbalanced
-    triangles; purely diagnostic.
+    triangles; purely diagnostic.  The cost grows linearly with
+    ``samples``, an integer in ``[1, MAX_PAIRS]`` (2**40), checked before
+    any draw.
     """
     _check_n(t.n, 3)
-    _check_param("samples", samples, "an integer >= 1",
-                 lambda k: isinstance(k, _INTEGER) and k >= 1)
+    _check_param("samples", samples, "an integer in [1, 2**40]",
+                 lambda k: isinstance(k, _INTEGER) and 1 <= k <= MAX_PAIRS)
     chunks = _triangles(_rng(seed), t.n, samples, _CHUNK)
     bad = sum(np.count_nonzero(abs(log_triangle_ratio(t, c)) > TAU) for c in chunks)
     return bad / samples

@@ -139,11 +139,38 @@ def _rng(seed) -> np.random.Generator:
 
 
 def pair_index(n: int, x, y):
-    """Lexicographic position of the unordered pair {x, y}, x < y; elementwise
-    over integers.  ``x(2n - x - 1)/2 + (y - x - 1)``, with the ``- x`` taken
-    into the product and the halving done as a shift.  Two ``int`` give an
-    ``int``; anything else is computed in int64, and ``n`` as an ``int``, so
-    a narrow integer type does not wrap."""
+    """Lexicographic position of the unordered pair {x, y}, given in either
+    order; elementwise over integer arrays.  ``n`` follows the vertex-count
+    rule and each id the vertex rule (an array of ids needs an integer
+    dtype); x == y raises SelfLoopError.  Two integer ids give an ``int``,
+    arrays an int64 array."""
+    n = _check_n(n)
+    ids = []
+    for v in (x, y):
+        a = int(v) if _is_integer(v) else _shaped(v)
+        if not (_is_vertex(v, n) if type(a) is int
+                else a.dtype.kind in "iu" and _vertices(a, n).all()):
+            raise VertexOutOfRangeError(f"vertex {v!r} is not an integer in [0, {n})")
+        ids.append(a)
+    x, y = ids
+    try:
+        same = np.equal(x, y)
+    except ValueError:
+        raise DimensionMismatchError(
+            f"id shapes {np.shape(x)} and {np.shape(y)} do not broadcast") from None
+    if same.any():
+        raise SelfLoopError(f"x == y is no pair (x = {np.broadcast_to(x, same.shape)[same][0]})")
+    if type(x) is int and type(y) is int:
+        return _pair_index(n, min(x, y), max(x, y))
+    return _pair_index(n, np.minimum(x, y), np.maximum(x, y))
+
+
+def _pair_index(n: int, x, y):
+    """:func:`pair_index` of checked ids x < y, unchecked:
+    ``x(2n - x - 1)/2 + (y - x - 1)``, with the ``- x`` taken into the
+    product and the halving done as a shift.  Two ``int`` give an ``int``;
+    anything else is computed in int64, and ``n`` as an ``int``, so a
+    narrow integer type does not wrap."""
     if type(x) is not int or type(y) is not int:
         x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
     return (x * (2 * int(n) - 3 - x) >> 1) + y - 1
@@ -151,12 +178,12 @@ def pair_index(n: int, x, y):
 
 def _pair_of(n: int, i: int) -> tuple[int, int]:
     """The pair ``(x, y)``, x < y, at position ``i``: the exact inverse of
-    :func:`pair_index`.  Position j from the end is in the row of k + 1
+    :func:`_pair_index`.  Position j from the end is in the row of k + 1
     pairs where k(k+1)/2 <= j < (k+1)(k+2)/2."""
     n, i = int(n), int(i)
     k = (math.isqrt(8 * (n * (n - 1) // 2 - 1 - i) + 1) - 1) // 2
     x = n - 2 - k
-    return x, i - pair_index(n, x, x + 1) + x + 1
+    return x, i - _pair_index(n, x, x + 1) + x + 1
 
 
 def _is_integer(v) -> bool:
@@ -371,7 +398,7 @@ class StochasticTournament:
         if x == y:
             raise SelfLoopError(f"p_xx is undefined (x = {x})")
         lo, hi = (x, y) if x < y else (y, x)
-        i = pair_index(self.n, lo, hi)
+        i = _pair_index(self.n, lo, hi)
         return float(self.weights[i]), bool(self.low_wins[i]) == (x < y)
 
     def prob(self, x: int, y: int) -> float:
@@ -394,7 +421,7 @@ class StochasticTournament:
             # as unsigned, a negative id lies past n: 0 <= lo < hi < n in two tests
             ulo, uhi = lo.view(np.uint64), hi.view(np.uint64)
             if ((ulo < uhi) & (uhi < self.n)).all():
-                i = pair_index(self.n, lo, hi)
+                i = _pair_index(self.n, lo, hi)
                 ell = logit(self.weights[i])
                 ell = np.where(self.low_wins[i] == (x < y), ell, -ell)
                 return float(ell) if ell.ndim == 0 else ell
@@ -502,7 +529,7 @@ def new_tournament(
     vertex = _vertices(x, n) & _vertices(y, n)
     rows = np.flatnonzero(~loop & vertex)
     xs, ys = x[rows].astype(np.int64), y[rows].astype(np.int64)
-    key = pair_index(n, np.minimum(xs, ys), np.maximum(xs, ys))
+    key = _pair_index(n, np.minimum(xs, ys), np.maximum(xs, ys))
     order = np.argsort(key, kind="stable")
     key = key[order]
     # a stable sort keeps each pair's first record ahead of its repeats
@@ -596,9 +623,9 @@ def gen_cyclic(n: int, p: float) -> StochasticTournament:
     weights = np.full(m, 0.5)
     low_wins = np.ones(m, dtype=bool)
     x = np.arange(n - 1)
-    weights[pair_index(n, x, x + 1)] = p
+    weights[_pair_index(n, x, x + 1)] = p
     # the wrap pair is stored n - 1 -> 0, last, so that at n = 2 it wins
-    wrap = pair_index(n, 0, n - 1)
+    wrap = _pair_index(n, 0, n - 1)
     weights[wrap], low_wins[wrap] = p, False
     return StochasticTournament(n, _frozen(weights), _frozen(low_wins))
 
@@ -640,9 +667,24 @@ def set_prob(
     instead could lose ulps near the floor).
     """
     t._stored(x, y)  # raises on a bad vertex or a self loop
-    i = pair_index(t.n, min(x, y), max(x, y))
-    weights = t.weights.copy()
-    low_wins = t.low_wins.copy()
-    weights[i] = _real(p, x, y)
-    low_wins[i] = x < y
+    return _with_pairs(t, x, y, _real(p, x, y))
+
+
+def _with_pairs(t: StochasticTournament, x, y, w) -> StochasticTournament:
+    """Copy of ``t`` with each pair {x_k, y_k} stored as x_k -> y_k at weight
+    w_k, for checked distinct ids and weights: the one writer of pairs."""
+    i = _pair_index(t.n, np.minimum(x, y), np.maximum(x, y))
+    weights, low_wins = t.weights.copy(), t.low_wins.copy()
+    weights[i], low_wins[i] = w, np.less(x, y)
     return StochasticTournament(t.n, _frozen(weights), _frozen(low_wins))
+
+
+def _small_side(ell):
+    """Stored form of pairs whose first vertex beats the second at log-odds
+    ``ell``: the small side's weight ``logistic(-|ell|)`` (at most 1/2)
+    floored at ETA, whether the first vertex is its tail (also on a tie),
+    and where the floor moved a weight by more than rounding."""
+    weights = logistic(-np.abs(ell))
+    # a weight whose exact value is ETA can round a few ulp below it
+    floored = weights < ETA - 16 * np.spacing(ETA)
+    return np.maximum(weights, ETA), ell <= 0.0, floored

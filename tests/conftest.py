@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 import bttest as bt
-from bttest.balance import _curl, _disc_max, _edge_log_odds, _tree_potential
+from bttest.balance import _curl, _disc_max, _tree_potential
 from bttest.errors import ParseError
-from bttest.repair import _small_side
-from bttest.tournament import _check_n, _real, logit, pair_index
+from bttest.tournament import _check_n, _real, _small_side, logit, pair_index
 
 
 @pytest.fixture
@@ -337,7 +336,8 @@ def reference_repair_with_root(t, r):
     ``reference_tournament``."""
     t._check_vertex(r)
     u, v = t._oriented()
-    e = _edge_log_odds(t.log_odds_matrix(), u, v, r)
+    ell = t.log_odds_matrix()
+    e = np.stack((ell[u, v], ell[v, r], ell[r, u]))
     idx = np.flatnonzero((np.abs(_curl(e)) > bt.TAU) & (u != r) & (v != r))
     u, v, e, w = u[idx], v[idx], e[:, idx], t.weights[idx]
     new, keep, clamp = _small_side(-(e[1] + e[2]))

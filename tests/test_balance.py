@@ -60,6 +60,16 @@ class TestTriangleRatio:
             lam = bt.triangle_ratio(t, bt.Triangle(x, y, z))
             assert lam == pytest.approx(oracle_lambda(p, x, y, z), rel=1e-12)
 
+    def test_an_array_of_triangles_gives_one_ratio_each(self):
+        t = bt.gen_random(6, 3)
+        tri = np.array(list(combinations(range(6), 3)))
+        ratios = bt.triangle_ratio(t, tri)
+        assert ratios.shape == (len(tri),)
+        np.testing.assert_array_equal(ratios, np.exp(bt.log_triangle_ratio(t, tri)))
+        # one triangle keeps math.exp of its own log ratio
+        one = bt.triangle_ratio(t, bt.Triangle(0, 1, 2))
+        assert type(one) is float and one == math.exp(bt.log_triangle_ratio(t, bt.Triangle(0, 1, 2)))
+
     def test_tiny_weight_stored_against_query_is_balanced(self, floor_bt3):
         assert bt.log_triangle_ratio(floor_bt3, bt.Triangle(0, 1, 2)) == 0.0
 

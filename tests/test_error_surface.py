@@ -74,15 +74,13 @@ TOO_LARGE = {
 #: an object that is not a tournament, tree, tester config, triangle,
 #: cycle or text stream where one goes has no attribute the call reads,
 #: which is Python's usual contract; ``sample_triangle`` draws from the
-#: generator it is given; ``pair_index`` is integer arithmetic on ids the
-#: caller has checked; ``report_json`` is ``json.dumps``, whose error names
+#: generator it is given; ``report_json`` is ``json.dumps``, whose error names
 #: a value JSON cannot hold; and a path that names no readable file gets
 #: the file system's own error.
 DUCK = ("t", "tw", "cfg", "tri", "cycle", "source")
 OUT_OF_SCOPE = (
     lambda name, arg, exc: arg in DUCK and isinstance(exc, AttributeError),
     lambda name, arg, exc: name == "sample_triangle" and arg == "rng",
-    lambda name, arg, exc: name == "pair_index",
     lambda name, arg, exc: name == "report_json" and isinstance(exc, TypeError),
     lambda name, arg, exc: arg == "path" and isinstance(exc, OSError),
 )

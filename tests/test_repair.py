@@ -3,6 +3,7 @@ and the desk-scale distance oracle."""
 
 import math
 import sys
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -168,6 +169,19 @@ class TestRepairWithRoot:
     def test_vertex_validation(self, cyclic3):
         with pytest.raises(bt.VertexOutOfRangeError):
             bt.repair_with_root(cyclic3, 3)
+
+    def test_reads_one_column_of_log_odds(self):
+        # L[., r] and the stored weights' logits, not an n x n matrix: at
+        # n = 1000 that matrix alone is 8 MB against the tournament's 4.5 MB
+        t = bt.gen_bt(np.linspace(1.0, 3.0, 1000))
+        bt.repair_with_root(bt.gen_bt([1.0, 2.0, 3.0]), 0)  # first-call imports
+        tracemalloc.start()
+        try:
+            bt.repair_with_root(t, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (t.weights.nbytes + t.low_wins.nbytes)
 
 
 class TestBestRoot:

@@ -9,6 +9,7 @@ import pytest
 
 import bttest as bt
 from bttest import tester
+from bttest.tournament import MAX_PAIRS
 from conftest import oracle_unbalanced_count, reference_triangle
 
 
@@ -36,6 +37,14 @@ class TestSampleSize:
         for eps, delta in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
             with pytest.raises(bt.ParameterOutOfRangeError):
                 bt.sample_size(eps, delta)
+
+    def test_a_count_past_the_pair_ceiling_is_refused(self):
+        assert bt.sample_size(1e-12) <= MAX_PAIRS  # every eps >= 1e-12 at delta = 1/3
+        for eps in (1e-13, 1e-300, 5e-324):  # 5e-324 asks for inf samples
+            with pytest.raises(bt.ParameterOutOfRangeError, match="more than 2\\*\\*40"):
+                bt.sample_size(eps)
+        with pytest.raises(bt.ParameterOutOfRangeError, match="more than 2\\*\\*40"):
+            bt.TesterConfig(eps=1e-300)
 
 
 class TestConfig:
@@ -286,6 +295,13 @@ class TestEstimateUnbalancedFraction:
         for samples in (0, float("nan"), 2.5, True):
             with pytest.raises(bt.ParameterOutOfRangeError):
                 bt.estimate_unbalanced_fraction(cyclic3, samples, 0)
+
+    @pytest.mark.parametrize("samples", [MAX_PAIRS + 1, 10**30])
+    def test_a_count_past_the_ceiling_draws_nothing(self, monkeypatch, cyclic3, samples):
+        # refused before any draw: without the ceiling the call draws until killed
+        monkeypatch.setattr(tester, "_rng", None)
+        with pytest.raises(bt.ParameterOutOfRangeError, match=r"in \[1, 2\*\*40\]"):
+            bt.estimate_unbalanced_fraction(cyclic3, samples, 0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, None, False])
     def test_seed_validation(self, cyclic3, seed):

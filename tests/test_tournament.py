@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bttest as bt
-from bttest.tournament import _pair_of, logistic, logit
+from bttest.tournament import _pair_index, _pair_of, logistic, logit
 from conftest import dense_probs
 
 
@@ -400,13 +400,39 @@ def test_pair_index_is_lexicographic():
     assert expected == n * (n - 1) // 2
 
 
+def test_pair_index_takes_a_pair_in_either_order():
+    assert bt.pair_index(4, 3, 1) == bt.pair_index(4, 1, 3) == 4
+    assert type(bt.pair_index(4, 3, 1)) is int
+    np.testing.assert_array_equal(bt.pair_index(4, [3, 0, 2], [1, 3, 0]), [4, 2, 1])
+
+
+@pytest.mark.parametrize("n, x, y, error", [
+    (4, "a", 1, bt.VertexOutOfRangeError),
+    (4, 1, 4, bt.VertexOutOfRangeError),
+    (4, -1, 2, bt.VertexOutOfRangeError),
+    (4, 0.0, 1, bt.VertexOutOfRangeError),
+    (4, [0, 1.5], [1, 2], bt.VertexOutOfRangeError),
+    (4, 2**70, 1, bt.VertexOutOfRangeError),
+    (4, 1, 1, bt.SelfLoopError),
+    (4, [0, 2], [1, 2], bt.SelfLoopError),
+    (4, [0, 1], [1, 2, 3], bt.DimensionMismatchError),
+    (1, 0, 1, bt.VertexOutOfRangeError),
+    (4.0, 0, 1, bt.ParameterOutOfRangeError),
+    (10**30, 0, 1, bt.ParameterOutOfRangeError),
+])
+def test_pair_index_checks_its_count_and_ids(n, x, y, error):
+    with pytest.raises(error):
+        bt.pair_index(n, x, y)
+
+
 @st.composite
 def positions(draw):
     n = draw(st.integers(2, 2**32))
     m = n * (n - 1) // 2
     x = draw(st.integers(0, n - 2))
-    # the first and last pair of a row, where a rounded square root would slip
-    ends = [bt.pair_index(n, x, x + 1), bt.pair_index(n, x, n - 1), 0, m - 1]
+    # the first and last pair of a row, where a rounded square root would slip;
+    # n runs past the vertex-count ceiling, so through the unchecked arithmetic
+    ends = [_pair_index(n, x, x + 1), _pair_index(n, x, n - 1), 0, m - 1]
     return n, draw(st.one_of(st.integers(0, m - 1), st.sampled_from(ends)))
 
 
@@ -415,7 +441,7 @@ def positions(draw):
 def test_pair_of_inverts_pair_index(position):
     n, i = position
     x, y = _pair_of(n, i)
-    assert 0 <= x < y < n and bt.pair_index(n, x, y) == i
+    assert 0 <= x < y < n and _pair_index(n, x, y) == i
 
 
 def test_pair_of_names_every_pair_in_order():
