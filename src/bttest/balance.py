@@ -37,9 +37,9 @@ from .tournament import (
     _check_id,
     _check_n,
     _check_param,
+    _is_gradient,
     _is_vertex,
     _pair_index,
-    _potential_residual,
     _real,
     _records,
     _shaped,
@@ -204,24 +204,24 @@ def enumerate_triangles(n: int) -> Iterator[Triangle]:
 
 
 def _triangle_slabs(
-    ell: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    lo: np.ndarray, hi: np.ndarray, ell: np.ndarray
 ) -> Iterator[tuple[int, int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Every triangle x < y < z of the log-odds matrix ``ell`` as one slab
-    ``(x, s, e)`` per x, in lexicographic order; ``lo, hi`` is the pair
-    list ``np.triu_indices(n, 1)``.
+    """Every triangle x < y < z of the pair vector ``ell = L[lo, hi]``
+    (as ``StochasticTournament._pairs`` gives it) as one slab ``(x, s, e)``
+    per x, in lexicographic order.
 
     The pairs y < z above x are the suffix of the pair list that starts at
     ``s = _pair_index(n, x + 1, x + 2)``, and ``e = (L_xy, L_yz, L_zx)`` is
-    read over them as ``row[ys]``, ``upper[s:]`` and ``-row[zs]`` with
-    ``row = ell[x]`` and ``upper = ell[lo, hi]`` gathered once; ``-L_xz``
-    is ``L_zx`` bit for bit because ``ell`` is exactly skew.  Working memory
-    is O(n^2)."""
-    n = ell.shape[0]
-    upper = ell[lo, hi]
+    read over them as ``row[ys]``, ``ell[s:]`` and ``-row[zs]``, where
+    ``row`` holds the segment of pairs (x, x+1 .. n-1) that ends at ``s``;
+    ``-L_xz`` is ``L_zx`` bit for bit because L is exactly skew.  Working
+    memory is O(n^2)."""
+    n = int(hi[-1]) + 1
+    row = np.empty(n)
     for x in range(n - 2):
         s = _pair_index(n, x + 1, x + 2)
-        row = ell[x]
-        yield x, s, (row[lo[s:]], upper[s:], -row[hi[s:]])
+        row[x + 1:] = ell[s - (n - 1 - x):s]
+        yield x, s, (row[lo[s:]], ell[s:], -row[hi[s:]])
 
 
 def _curl(e: np.ndarray):
@@ -240,7 +240,7 @@ class TotalDiscrepancy:
 
 
 def total_discrepancy(t: StochasticTournament) -> TotalDiscrepancy:
-    """Exhaustive O(n^3) discrepancy sums over the log-odds matrix, one
+    """Exhaustive O(n^3) discrepancy sums over the stored pairs, one
     slab (every pair y < z above a fixed x, a suffix of the pair list) at
     a time in O(n^2) working memory.
 
@@ -250,12 +250,11 @@ def total_discrepancy(t: StochasticTournament) -> TotalDiscrepancy:
     ``np.bincount`` calls add it into y and z at the end.  The same input
     always gives bit-identical sums.
     """
-    ell = t.log_odds_matrix()
-    lo, hi = np.triu_indices(t.n, k=1)
+    lo, hi, ell = t._pairs()
     partials = []
     per_root = np.zeros(t.n)
     acc = np.zeros(lo.size)
-    for x, s, e in _triangle_slabs(ell, lo, hi):
+    for x, s, e in _triangle_slabs(lo, hi, ell):
         d = _disc_max(e)
         partials.append(float(np.sum(d)))
         per_root[x] += partials[-1]
@@ -339,15 +338,15 @@ def _tree_structure(n: int, tree_edges) -> tuple[np.ndarray, np.ndarray]:
     return parent, depth
 
 
-def _tree_potential(n: int, tree_edges, ell) -> np.ndarray:
+def _tree_potential(n: int, tree_edges, log_odds) -> np.ndarray:
     """Potential of a spanning tree, set parents first: ``pot[0] = 0`` and
-    ``pot[v] - pot[u] = ell[u, v]`` along every tree edge, read from the
-    log-odds matrix or a lookup holding both directions of each tree edge.
-    Validates the tree like ``_tree_structure`` before the first read."""
+    ``pot[v] - pot[u] = log_odds(u, v)`` along every tree edge, read in one
+    call over index arrays, as ``StochasticTournament.log_odds`` reads them.
+    Validates the tree like ``_tree_structure`` before the read."""
     parent, depth = _tree_structure(n, tree_edges)
-    pot = np.zeros(n)
+    pot = np.insert(log_odds(parent[1:], np.arange(1, n)), 0, 0.0)  # rise from the parent
     for v in np.argsort(depth, kind="stable")[1:].tolist():
-        pot[v] = pot[parent[v]] + ell[parent[v], v]
+        pot[v] += pot[parent[v]]
     return pot
 
 
@@ -389,10 +388,8 @@ def check_fundamental_cycles(
     """True iff every fundamental cycle of the spanning tree is balanced.
 
     The log-odds along the tree telescope into a potential ``pot``, so this
-    is one O(n^2) residual ``L[u, v] - (pot[v] - pot[u])`` over the log-odds
-    matrix: a chord's entry is its fundamental cycle's log lambda, a tree
+    is one O(n^2) residual ``L[u, v] - (pot[v] - pot[u])`` over the stored
+    pairs: a chord's entry is its fundamental cycle's log lambda, a tree
     edge's is rounding.  The fundamental cycles span the cycle space, so
     True certifies that every cycle is balanced."""
-    ell = t.log_odds_matrix()
-    pot = _tree_potential(t.n, tree_edges, ell)
-    return bool(np.all(np.abs(_potential_residual(ell, pot)) <= TAU))
+    return _is_gradient(t, _tree_potential(t.n, tree_edges, t.log_odds), TAU)

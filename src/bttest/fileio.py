@@ -78,13 +78,15 @@ _RECORD = np.dtype([("x", np.int64), ("y", np.int64), ("value", np.float64)])
 _WARNINGS_LOCK = threading.Lock()
 
 
-def _columns(lines: list[str]) -> np.ndarray | None:
+def _columns(lines: list[str], all_ascii: bool = False) -> np.ndarray | None:
     """The body lines as one ``(x, y, value)`` record array, or None where
     ``np.loadtxt`` refuses them: any conversion or column-count error, and
     any warning (an integer column holding ``1.0``; no data, where no line
     holds a record).  Non-ASCII lines are refused up front, since loadtxt
-    reads some letters as digits (``"1\u01fe"`` as the integer 472)."""
-    if not "".join(lines).isascii():
+    reads some letters as digits (``"1\u01fe"`` as the integer 472).  A
+    caller whose whole text is ASCII passes ``all_ascii``, which CPython's
+    ``str.isascii`` knows without a scan, and no line is checked."""
+    if not (all_ascii or all(map(str.isascii, lines))):
         return None
     with _WARNINGS_LOCK, warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -146,7 +148,7 @@ def _read(source: str | IO[str], tag: str):
             end = len(lines)
             while lines[end - 1].strip()[:1] in ("", "#"):
                 end -= 1
-            columns = _columns(lines[lineno - 1:end])
+            columns = _columns(lines[lineno - 1:end], text.isascii())
             if columns is not None:
                 break
         body.append((lineno, line))

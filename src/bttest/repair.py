@@ -92,7 +92,9 @@ def repair_with_root(
     and is stored as its small side.  Triangles already balanced within
     ``TAU`` keep their pair's weight and orientation bit for bit, so
     repairing a reversible tournament is the identity with total_change 0.
-    Balancing weights below ETA are floored at ETA and flagged.
+    Where no pair is edited the result is ``t`` itself, not a copy
+    (tournaments are immutable).  Balancing weights below ETA are floored
+    at ETA and flagged.
     """
     r = t._check_vertex(r)
     u, v = t._oriented()
@@ -107,7 +109,7 @@ def repair_with_root(
     x, y = np.where(keep, u, v), np.where(keep, v, u)
     old = np.where(keep, w, 1.0 - w)
     edit = old != new
-    repaired = _with_pairs(t, x[edit], y[edit], new[edit])
+    repaired = _with_pairs(t, x[edit], y[edit], new[edit]) if edit.any() else t
     # every |edit| must stay within the discrepancy of its triangle
     disc = _disc_max(e)
     change = np.abs(new - old)
@@ -215,8 +217,7 @@ def check_seven_eps(
             f"(t, pi) is not {eps}-approximately reversible"
         )
     bound = math.log1p(7.0 * eps)
-    slabs = _triangle_slabs(t.log_odds_matrix(), *np.triu_indices(t.n, k=1))
-    return all(np.all(np.abs(_curl(e)) <= bound) for _, _, e in slabs)
+    return all(np.all(np.abs(_curl(e)) <= bound) for _, _, e in _triangle_slabs(*t._pairs()))
 
 
 def extend_tree(tw: TreeWeights) -> StochasticTournament:
@@ -236,7 +237,8 @@ def extend_tree(tw: TreeWeights) -> StochasticTournament:
     n = tw.n
     rise = {(u, v): logit(w) for u, v, w in tw.edges}
     rise.update({(v, u): -ell for (u, v), ell in rise.items()})
-    log_pi = _tree_potential(n, [(u, v) for u, v, _ in tw.edges], rise)
+    log_pi = _tree_potential(n, [(u, v) for u, v, _ in tw.edges], lambda a, b: np.array(
+        [rise[e] for e in zip(a.tolist(), b.tolist())]))
 
     lo, hi = np.triu_indices(n, k=1)
     weights, low_wins, outside = _small_side(log_pi[hi] - log_pi[lo])
@@ -264,7 +266,8 @@ def fit_scores_least_squares(t: StochasticTournament) -> np.ndarray:
     inputs are recovered up to scale; otherwise this is the L2-optimal
     log-odds potential.
     """
-    phi = t.log_odds_matrix().sum(axis=1) / t.n
+    lo, hi, ell = t._pairs()
+    phi = (np.bincount(lo, ell, t.n) - np.bincount(hi, ell, t.n)) / t.n
     return np.exp(phi - phi[0])
 
 
@@ -354,7 +357,7 @@ def l1_distance_oracle(t: StochasticTournament) -> DistanceBounds:
     upper = min(upper, best)
 
     lower = 0.0
-    for _, _, e in _triangle_slabs(ell, *np.triu_indices(t.n, k=1)):
+    for _, _, e in _triangle_slabs(*t._pairs()):
         fixes = _disc_min(e)[np.abs(_curl(e)) > TAU]
         lower = max(lower, float(fixes.max(initial=0.0)))
     return DistanceBounds(upper=upper, lower=min(lower, upper))

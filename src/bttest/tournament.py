@@ -445,10 +445,17 @@ class StochasticTournament:
         u, v = self._oriented()
         return zip(u.tolist(), v.tolist(), self.weights.tolist())
 
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, L[lo, hi])`` over every pair lo < hi in lexicographic
+        order: the logit of each stored weight, negated where the present
+        edge is hi -> lo; ``log_odds_matrix()[lo, hi]`` bit for bit."""
+        ell = logit(self.weights)
+        return (*np.triu_indices(self.n, k=1), np.negative(ell, out=ell, where=~self.low_wins))
+
     def _dense(self, stored: np.ndarray, reverse: np.ndarray) -> np.ndarray:
         """``n x n`` matrix holding each pair's ``stored`` value along its
         present edge and ``reverse`` against it; the diagonal is 0."""
-        upper = np.triu(np.ones((self.n, self.n), dtype=bool), k=1)
+        upper = np.arange(self.n)[:, None] < np.arange(self.n)
         out = np.zeros((self.n, self.n))
         # boolean-mask assignment fills (lo, hi) in pair-lexicographic order
         out[upper] = np.where(self.low_wins, stored, reverse)
@@ -564,9 +571,11 @@ def markov_matrix(t: StochasticTournament) -> np.ndarray:
     return q
 
 
-def _potential_residual(ell: np.ndarray, pot: np.ndarray) -> np.ndarray:
-    """``L[x, y] - (pot[y] - pot[x])``: 0 iff ``L`` is the gradient of ``pot``."""
-    return ell - (pot[None, :] - pot[:, None])
+def _is_gradient(t: StochasticTournament, pot: np.ndarray, bound: float) -> bool:
+    """``|L[x, y] - (pot[y] - pot[x])| <= bound`` over the pairs x < y, which
+    decide, since (y, x) gives the exact negation: L is the gradient of pot."""
+    lo, hi, ell = t._pairs()
+    return bool(np.all(np.abs(ell - (pot[hi] - pot[lo])) <= bound))
 
 
 def check_reversible(
@@ -575,7 +584,7 @@ def check_reversible(
     """Detailed-balance check of ``pi`` against the tournament.
 
     Tests ``|D| <= TAU`` at ``eps == 0``, else ``|D| <= log1p(eps)``, where
-    ``D = log(pi_x p_xy / (pi_y p_yx))`` is read off the log-odds matrix and
+    ``D = log(pi_x p_xy / (pi_y p_yx))`` is read off the stored pairs and
     ``log(pi)`` (so ``pi`` need not be normalised).  With ``eps > 0`` this is
 
         (1 + eps)^-1  <=  pi_x p_xy / (pi_y p_yx)  <=  1 + eps
@@ -588,8 +597,7 @@ def check_reversible(
     _check_param("eps", eps, ">= 0", lambda e: e >= 0.0)
     # pi / max first: at pi ~ 1e-300, log(pi) ~ -690 has an ulp of 1e-13
     with np.errstate(divide="ignore", invalid="ignore"):  # a spread past 1e323 gives 0
-        residual = _potential_residual(t.log_odds_matrix(), np.log(pi / pi.max()))
-    return bool(np.all(np.abs(residual) <= (TAU if eps == 0.0 else np.log1p(eps))))
+        return _is_gradient(t, np.log(pi / pi.max()), TAU if eps == 0.0 else np.log1p(eps))
 
 
 # -- generators ----------------------------------------------------------

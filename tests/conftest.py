@@ -363,7 +363,8 @@ def reference_extend_tree(tw):
     n = tw.n
     rise = {(u, v): logit(w) for u, v, w in tw.edges}
     rise.update({(v, u): -ell for (u, v), ell in rise.items()})
-    log_pi = _tree_potential(n, [(u, v) for u, v, _ in tw.edges], rise)
+    log_pi = _tree_potential(n, [(u, v) for u, v, _ in tw.edges], lambda a, b: np.array(
+        [rise[e] for e in zip(a.tolist(), b.tolist())]))
     lo, hi = np.triu_indices(n, k=1)
     weights, low_wins, _ = _small_side(log_pi[hi] - log_pi[lo])
     for u, v, w in tw.edges:

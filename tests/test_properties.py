@@ -171,19 +171,39 @@ def test_discrepancy_reads_three_edges_and_no_probability(t, data):
 
 
 def test_discrepancy_sums_read_no_probability_matrix(monkeypatch):
+    """The exhaustive paths read the stored pairs: no probability, and
+    neither dense matrix."""
+    near = bt.gen_perturbed(bt.gen_bt(np.linspace(1.0, 3.0, 7)), 0.01, 0)
+    pi = bt.scores_to_stationary(bt.fit_scores_least_squares(near))
+    star = [(0, v) for v in range(1, 7)]
+
+    def run(t):
+        td = bt.total_discrepancy(t)
+        return (td.total, td.per_root.tolist(), bt.best_root(t),
+                [bt.repair_with_root(t, r) for r in (0, 4)] + [bt.repair(t)],
+                bt.fit_scores_least_squares(t).tolist(),
+                bt.check_fundamental_cycles(t, star),
+                [bt.check_reversible(t, pi, eps) for eps in (0.0, 0.02, 0.1)])
+
     t = bt.gen_random(7, 0)
-    expected = bt.total_discrepancy(t), bt.best_root(t)
-    repairs = [bt.repair_with_root(t, r) for r in (0, 4)] + [bt.repair(t)]
+    expected = run(t), run(near), bt.check_seven_eps(near, pi, 0.1)
 
     def refuse(*args):
-        raise AssertionError("read a probability")
+        raise AssertionError("read a probability or a dense matrix")
 
     monkeypatch.setattr(bt.StochasticTournament, "prob_matrix", refuse)
+    monkeypatch.setattr(bt.StochasticTournament, "log_odds_matrix", refuse)
     monkeypatch.setattr(bt.StochasticTournament, "prob", refuse)
-    td, root = bt.total_discrepancy(t), bt.best_root(t)
-    assert (td.total, td.per_root.tolist(), root) == (
-        expected[0].total, expected[0].per_root.tolist(), expected[1])
-    assert [bt.repair_with_root(t, r) for r in (0, 4)] + [bt.repair(t)] == repairs
+    assert (run(t), run(near), bt.check_seven_eps(near, pi, 0.1)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(tournaments(min_n=2))
+def test_the_pair_vector_is_the_upper_triangle_of_log_odds(t):
+    lo, hi, ell = t._pairs()
+    assert [lo.tolist(), hi.tolist()] == [a.tolist() for a in np.triu_indices(t.n, k=1)]
+    assert ell.tobytes() == t.log_odds_matrix()[lo, hi].tobytes()
+    assert ell.tobytes() == t.log_odds(lo, hi).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

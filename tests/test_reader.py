@@ -255,3 +255,11 @@ class TestPaths:
         with pytest.raises(bt.ParseError, match="unknown vertex '2\u01fe'") as exc:
             bt.parse_document(f"{TOURNAMENT}\nn=3\n0 1 0.5\n0 2 0.5\n1 2\u01fe 0.5\n")
         assert exc.value.line == 5
+
+    def test_non_ascii_labels_keep_an_ascii_body_on_the_record_array(self):
+        # the text is not ASCII, so each body line is checked on its own
+        t = bt.gen_random(3, 0)
+        body = bt.serialize_tournament(t).split("\n", 2)[2]
+        text = f"{TOURNAMENT}\nn=3\nlabels=\u00e9,\u5317,c\n{body}"
+        assert isinstance(fileio._read(text, TOURNAMENT)[2], np.ndarray)
+        assert bt.parse_tournament(text).weights.tobytes() == t.weights.tobytes()

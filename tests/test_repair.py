@@ -183,6 +183,31 @@ class TestRepairWithRoot:
             tracemalloc.stop()
         assert peak < 8 * (t.weights.nbytes + t.low_wins.nbytes)
 
+    def test_no_edit_returns_the_input(self):
+        t = bt.gen_bt([1.0, 2.0, 3.0, 5.0])
+        for r in range(t.n):
+            repaired, report = bt.repair_with_root(t, r)
+            assert repaired is t and report.edits == ()
+
+
+@pytest.mark.parametrize("n, path, bound", [
+    (1000, bt.fit_scores_least_squares, 4.0),
+    (1000, lambda t: bt.check_reversible(t, np.ones(t.n)), 5.0),
+    (1000, lambda t: bt.check_fundamental_cycles(t, zip(range(t.n - 1), range(1, t.n))), 5.0),
+    (400, bt.total_discrepancy, 9.5),
+], ids=["fit", "check_reversible", "check_fundamental_cycles", "total_discrepancy"])
+def test_exhaustive_paths_read_the_stored_pairs(n, path, bound):
+    # the n x n log-odds matrix alone is 16 bytes a pair, the tournament 9
+    t = bt.gen_random(n, 0)
+    path(bt.gen_random(5, 0))  # first-call imports
+    tracemalloc.start()
+    try:
+        path(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * (t.weights.nbytes + t.low_wins.nbytes)
+
 
 class TestBestRoot:
     def test_bt_tie_breaks_to_zero(self):
@@ -488,6 +513,14 @@ class TestFitScores:
         np.testing.assert_allclose(
             bt.fit_scores_least_squares(t), a / a[0], rtol=1e-9
         )
+
+    def test_is_the_row_mean_of_log_odds(self):
+        # read over the pairs; a row sum of the n x n matrix adds in another order
+        near = bt.gen_perturbed(bt.gen_bt(np.arange(1.0, 301.0)), 0.01, 4)
+        for t in (bt.gen_random(300, 4), near):
+            phi = t.log_odds_matrix().sum(axis=1) / t.n
+            np.testing.assert_allclose(
+                bt.fit_scores_least_squares(t), np.exp(phi - phi[0]), rtol=1e-12)
 
     def test_all_half(self, fair3):
         np.testing.assert_allclose(bt.fit_scores_least_squares(fair3), 1.0)
