@@ -338,13 +338,12 @@ def _tree_structure(n: int, tree_edges) -> tuple[np.ndarray, np.ndarray]:
     return parent, depth
 
 
-def _tree_potential(n: int, tree_edges, log_odds) -> np.ndarray:
-    """Potential of a spanning tree, set parents first: ``pot[0] = 0`` and
-    ``pot[v] - pot[u] = log_odds(u, v)`` along every tree edge, read in one
-    call over index arrays, as ``StochasticTournament.log_odds`` reads them.
-    Validates the tree like ``_tree_structure`` before the read."""
-    parent, depth = _tree_structure(n, tree_edges)
-    pot = np.insert(log_odds(parent[1:], np.arange(1, n)), 0, 0.0)  # rise from the parent
+def _tree_potential(parent, depth, rise) -> np.ndarray:
+    """Potential of the tree of :func:`_tree_structure`, set parents first:
+    ``pot[0] = 0`` and ``pot[v] = pot[parent[v]] + rise[v - 1]``, where
+    ``rise`` holds each vertex's log-odds from its parent, ``L[parent[v], v]``,
+    for v = 1 .. n-1."""
+    pot = np.insert(rise, 0, 0.0)
     for v in np.argsort(depth, kind="stable")[1:].tolist():
         pot[v] += pot[parent[v]]
     return pot
@@ -392,4 +391,6 @@ def check_fundamental_cycles(
     pairs: a chord's entry is its fundamental cycle's log lambda, a tree
     edge's is rounding.  The fundamental cycles span the cycle space, so
     True certifies that every cycle is balanced."""
-    return _is_gradient(t, _tree_potential(t.n, tree_edges, t.log_odds), TAU)
+    parent, depth = _tree_structure(t.n, tree_edges)
+    rise = t.log_odds(parent[1:], np.arange(1, t.n))  # the tree's edges, one call
+    return _is_gradient(t, _tree_potential(parent, depth, rise), TAU)

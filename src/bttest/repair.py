@@ -28,6 +28,7 @@ from .balance import (
     _disc_max,
     _disc_min,
     _tree_potential,
+    _tree_structure,
     _triangle_slabs,
     total_discrepancy,
 )
@@ -43,6 +44,7 @@ from .tournament import (
     _check_n,
     _check_param,
     _check_positive,
+    _check_vertex,
     _pair_index,
     _small_side,
     _with_pairs,
@@ -96,7 +98,7 @@ def repair_with_root(
     (tournaments are immutable).  Balancing weights below ETA are floored
     at ETA and flagged.
     """
-    r = t._check_vertex(r)
+    r = _check_vertex(r, t.n)
     u, v = t._oriented()
     col = np.insert(t.log_odds(np.delete(np.arange(t.n), r), r), r, 0.0)  # L[., r]
     # edge log-odds of triangle (u, v, r) traversed u -> v -> r -> u, with
@@ -152,7 +154,7 @@ def scores_from_root(t: StochasticTournament, r: int) -> np.ndarray:
     Bradley-Terry identity; if every triangle through r is eps-balanced
     they form an eps-approximate score vector.
     """
-    r = t._check_vertex(r)
+    r = _check_vertex(r, t.n)
     y = np.arange(t.n)
     return np.exp(np.insert(t.log_odds(y[y != r], r), r, 0.0))
 
@@ -235,14 +237,17 @@ def extend_tree(tw: TreeWeights) -> StochasticTournament:
     overflow.
     """
     n = tw.n
-    rise = {(u, v): logit(w) for u, v, w in tw.edges}
-    rise.update({(v, u): -ell for (u, v), ell in rise.items()})
-    log_pi = _tree_potential(n, [(u, v) for u, v, _ in tw.edges], lambda a, b: np.array(
-        [rise[e] for e in zip(a.tolist(), b.tolist())]))
+    u, v, w = (np.array(c) for c in zip(*tw.edges))
+    parent, depth = _tree_structure(n, [(a, b) for a, b, _ in tw.edges])
+    # each child's rise from its parent: logit(w), negated where the edge
+    # u -> v runs up, child -> parent
+    up, ell = parent[u] == v, logit(w)
+    rise = np.empty(n)
+    rise[np.where(up, u, v)] = np.negative(ell, out=ell, where=up)
+    log_pi = _tree_potential(parent, depth, rise[1:])
 
     lo, hi = np.triu_indices(n, k=1)
     weights, low_wins, outside = _small_side(log_pi[hi] - log_pi[lo])
-    u, v, w = (np.array(c) for c in zip(*tw.edges))
     # a tree edge keeps its input weight, so a floor there is no clamp
     tree = _pair_index(n, np.minimum(u, v), np.maximum(u, v))
     clamped = int(outside.sum() - outside[tree].sum())

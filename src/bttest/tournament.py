@@ -11,7 +11,9 @@ edge, so ``log_odds(x, y) == -log_odds(y, x)`` holds bit-exactly too.
 
 Probabilities are kept inside ``[ETA, 1 - ETA]`` for the fixed floor
 ``ETA = 1e-12``: every downstream ratio ``p_xy / p_yx`` must stay finite, so
-weights of exactly 0 or 1 are rejected rather than special-cased.  Exact
+weights of exactly 0 or 1 are rejected rather than special-cased.  The
+weight rule's floor is the complement of the top, a hair below ETA, so
+that a weight read against its present edge is taken back.  Exact
 balance and exact reversibility are judged up to the fixed tolerance
 ``TAU``; a looser bound is set only through the eps-balanced forms.
 """
@@ -38,8 +40,15 @@ from .errors import (
     VertexOutOfRangeError,
 )
 
-#: Positivity floor for edge probabilities.
+#: Positivity floor for edge probabilities: what every clamp, floor and
+#: generator writes.
 ETA = 1e-12
+
+#: The least weight the weight rule admits: the complement of the top
+#: ``1 - ETA``, a hair below ETA, so that the band up to ``1 - ETA`` is
+#: closed under ``w -> 1 - w`` in floating point and every ``prob`` read
+#: off a tournament is a weight the library takes back.
+_FLOOR = 1.0 - (1.0 - ETA)
 
 #: Tolerance, one bound on a |log| for both checks: on |log lambda|
 #: for "balanced", and on |log(pi_x p_xy / (pi_y p_yx))| for "reversible".
@@ -61,9 +70,6 @@ _INTEGER = (int, np.integer)
 
 #: Types an orientation flag may have; its value must be 0 or 1 too.
 _FLAG = (int, np.integer, np.bool_)
-
-#: The index dtype of the ``log_odds`` fast path.
-_INT64 = np.dtype(np.int64)
 
 
 def _check_param(name: str, value, rule: str, inside) -> None:
@@ -140,29 +146,47 @@ def _rng(seed) -> np.random.Generator:
 
 def pair_index(n: int, x, y):
     """Lexicographic position of the unordered pair {x, y}, given in either
-    order; elementwise over integer arrays.  ``n`` follows the vertex-count
-    rule and each id the vertex rule (an array of ids needs an integer
-    dtype); x == y raises SelfLoopError.  Two integer ids give an ``int``,
+    order: ``n`` follows the vertex-count rule and the ids the edge-query
+    rule of :func:`_locate`.  Two ids (or 0-d arrays) give an ``int``,
     arrays an int64 array."""
-    n = _check_n(n)
-    ids = []
-    for v in (x, y):
-        a = int(v) if _is_integer(v) else _shaped(v)
-        if not (_is_vertex(v, n) if type(a) is int
-                else a.dtype.kind in "iu" and _vertices(a, n).all()):
-            raise VertexOutOfRangeError(f"vertex {v!r} is not an integer in [0, {n})")
-        ids.append(a)
-    x, y = ids
+    i, _ = _locate(_check_n(n), x, y)
+    return i if np.ndim(i) else int(i)
+
+
+def _locate(n: int, x, y):
+    """The one rule for an edge query: the position of each pair {x, y} and
+    whether x is its low end, an ``int`` and a bool for two ``int`` ids,
+    else int64 and bool arrays of the shape ``x`` and ``y`` broadcast to.
+    Each id follows the vertex rule and x == y raises SelfLoopError, checked
+    entry by entry in broadcast order, x before y, so the error names the
+    first bad id; ids that do not broadcast, or a ragged nest, raise
+    DimensionMismatchError."""
+    if type(x) is int and type(y) is int and x != y and 0 <= x < n and 0 <= y < n:
+        return _pair_index(n, min(x, y), max(x, y)), x < y
     try:
-        same = np.equal(x, y)
+        x, y = np.asarray(x), np.asarray(y)
+    except ValueError:  # [[0, 1], [1]] has no shape
+        raise DimensionMismatchError("a ragged nest of ids has no shape") from None
+    try:
+        if x.dtype.kind in "biu" and y.dtype.kind in "biu":
+            # as int64, where a uint64 id past 2**63 wraps to a negative one
+            a, b = x.astype(np.int64, copy=False), y.astype(np.int64, copy=False)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            # as unsigned, a negative id lies past n: 0 <= lo < hi < n in two tests
+            ulo, uhi = lo.view(np.uint64), hi.view(np.uint64)
+            if ((ulo < uhi) & (uhi < n)).all():
+                return _pair_index(n, lo, hi), a < b
+        x, y = np.broadcast_arrays(x, y)
     except ValueError:
         raise DimensionMismatchError(
-            f"id shapes {np.shape(x)} and {np.shape(y)} do not broadcast") from None
-    if same.any():
-        raise SelfLoopError(f"x == y is no pair (x = {np.broadcast_to(x, same.shape)[same][0]})")
-    if type(x) is int and type(y) is int:
-        return _pair_index(n, min(x, y), max(x, y))
-    return _pair_index(n, np.minimum(x, y), np.maximum(x, y))
+            f"id shapes {x.shape} and {y.shape} do not broadcast") from None
+    # a bad entry, or no integer or bool dtype: each entry through the vertex
+    # rule before any arithmetic on it, so text or None raises the library error
+    for u, v in zip(x.ravel().tolist(), y.ravel().tolist()):
+        if _check_vertex(u, n) == _check_vertex(v, n):
+            raise SelfLoopError(f"x == y is no pair (x = {u})")
+    # every entry is a vertex id now, bools included, which do not subtract
+    return _locate(n, x.astype(np.int64), y.astype(np.int64))
 
 
 def _pair_index(n: int, x, y):
@@ -195,6 +219,15 @@ def _is_integer(v) -> bool:
 def _is_vertex(v, n: int) -> bool:
     """The one rule for a vertex id: an ``int`` or numpy integer in ``[0, n)``."""
     return _is_integer(v) and 0 <= v < n
+
+
+def _check_vertex(v, n: int) -> int:
+    """``v`` as an ``int`` under :func:`_is_vertex`, or an error that names it
+    as a Python value: 5, not np.int64(5)."""
+    if not _is_vertex(v, n):
+        v = v.item() if isinstance(v, np.generic) else v
+        raise VertexOutOfRangeError(f"vertex {v!r} is not an integer in [0, {n})")
+    return int(v)
 
 
 def _check_id(v) -> int:
@@ -244,13 +277,14 @@ def _kind(v) -> type:
 
 def _real(w, x, y):
     """``w`` as given, unless :func:`_non_real` refuses it or it lies outside
-    ``[ETA, 1 - ETA]``: then an error that names the pair (x, y) it was
-    given for."""
+    ``[_FLOOR, 1 - ETA]``: then an error that names the pair (x, y) it was
+    given for.  The message says ``[ETA, 1 - ETA]``: every number the floor
+    refuses lies below ETA too."""
     if _non_real(_kind(w)):
         raise OutOfRangeProbabilityError(
             f"p={w!r} for pair ({x}, {y}) is not a real number"
         )
-    if not _holds(lambda v: ETA <= v <= 1.0 - ETA, w):  # NaN too
+    if not _holds(lambda v: _FLOOR <= v <= 1.0 - ETA, w):  # NaN too
         raise OutOfRangeProbabilityError(
             f"p={w} for pair ({x}, {y}) outside [{ETA}, {1.0 - ETA}]"
         )
@@ -376,8 +410,8 @@ class StochasticTournament:
                 if _non_real(_kind(self.weights[i])):  # a 0-d array of a number passes
                     _real(self.weights[i], *pair(i))  # raises
         weights = _adopt(given, np.float64)
-        if not (ETA <= weights.min() and weights.max() <= 1.0 - ETA):  # NaN too
-            inside = ETA <= weights
+        if not (_FLOOR <= weights.min() and weights.max() <= 1.0 - ETA):  # NaN too
+            inside = _FLOOR <= weights
             inside &= weights <= 1.0 - ETA
             i = int(np.argmin(inside))
             _real(weights[i], *pair(i))  # raises
@@ -386,53 +420,21 @@ class StochasticTournament:
 
     # -- queries ---------------------------------------------------------
 
-    def _check_vertex(self, v) -> int:
-        if not _is_vertex(v, self.n):
-            raise VertexOutOfRangeError(f"vertex {v!r} is not an integer in [0, {self.n})")
-        return int(v)
-
-    def _stored(self, x: int, y: int) -> tuple[float, bool]:
-        """Stored weight of the pair {x, y} and whether it is stored as x -> y."""
-        self._check_vertex(x)
-        self._check_vertex(y)
-        if x == y:
-            raise SelfLoopError(f"p_xx is undefined (x = {x})")
-        lo, hi = (x, y) if x < y else (y, x)
-        i = _pair_index(self.n, lo, hi)
-        return float(self.weights[i]), bool(self.low_wins[i]) == (x < y)
-
-    def prob(self, x: int, y: int) -> float:
-        """Probability that ``x`` beats ``y``.  One edge query."""
-        w, forward = self._stored(x, y)
-        return w if forward else 1.0 - w
+    def prob(self, x, y):
+        """Probability that ``x`` beats ``y``: one edge query per entry of ids
+        under :func:`_locate`, a float for two ids."""
+        i, x_low = _locate(self.n, x, y)
+        w = self.weights[i]
+        p = np.where(self.low_wins[i] == x_low, w, 1.0 - w)
+        return float(p) if p.ndim == 0 else p
 
     def log_odds(self, x, y):
-        """``log(p_xy / p_yx)`` from the stored weight, one edge query per entry
-        of equal-shape index arrays, a float for two ints; exactly skew."""
-        x, y = np.asarray(x), np.asarray(y)
-        if x.dtype != _INT64 or y.dtype != _INT64:
-            # integers of another width or sign read as int64 when every entry
-            # is a vertex; anything else goes through the per-entry check below
-            if (x.dtype.kind in "iu" and y.dtype.kind in "iu"
-                    and _vertices(x, self.n).all() and _vertices(y, self.n).all()):
-                x, y = x.astype(np.int64), y.astype(np.int64)
-        if x.dtype == _INT64 == y.dtype:
-            lo, hi = np.minimum(x, y), np.maximum(x, y)
-            # as unsigned, a negative id lies past n: 0 <= lo < hi < n in two tests
-            ulo, uhi = lo.view(np.uint64), hi.view(np.uint64)
-            if ((ulo < uhi) & (uhi < self.n)).all():
-                i = _pair_index(self.n, lo, hi)
-                ell = logit(self.weights[i])
-                ell = np.where(self.low_wins[i] == (x < y), ell, -ell)
-                return float(ell) if ell.ndim == 0 else ell
-        # a bad entry, or no integer dtype: each entry through the vertex rule
-        # before any arithmetic on it, so text or None raises the library error
-        x, y = np.broadcast_arrays(x, y)
-        # Python values, so that an error names 5 rather than np.int64(5)
-        for a, b in zip(x.ravel().tolist(), y.ravel().tolist()):
-            self._stored(a, b)  # raises on the first bad entry
-        # every entry is a vertex id now, bools included, which do not subtract
-        return self.log_odds(x.astype(np.int64), y.astype(np.int64))
+        """``log(p_xy / p_yx)`` from the stored weight, read like :meth:`prob`;
+        exactly skew."""
+        i, x_low = _locate(self.n, x, y)
+        ell = logit(self.weights[i])
+        ell = np.where(self.low_wins[i] == x_low, ell, -ell)
+        return float(ell) if ell.ndim == 0 else ell
 
     def _oriented(self) -> tuple[np.ndarray, np.ndarray]:
         """Tail and head ``(u, v)`` of every present edge u -> v, pairs in
@@ -502,8 +504,7 @@ def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _vertices(v: np.ndarray, n: int) -> np.ndarray:
-    """:func:`_is_vertex` of every entry of a column, or of an integer array
-    of any shape."""
+    """:func:`_is_vertex` of every entry of a column."""
     if v.dtype.kind in "iu":
         return (0 <= v) & (v < n)
     return np.fromiter((_is_vertex(a, n) for a in v), bool, len(v))
@@ -674,7 +675,7 @@ def set_prob(
     so ``prob(x, y)`` returns ``p`` bit-for-bit (storing the complement
     instead could lose ulps near the floor).
     """
-    t._stored(x, y)  # raises on a bad vertex or a self loop
+    _locate(t.n, _check_vertex(x, t.n), _check_vertex(y, t.n))  # one pair, no self loop
     return _with_pairs(t, x, y, _real(p, x, y))
 
 

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import bttest as bt
-from bttest.balance import _curl, _disc_max, _tree_potential
+from bttest.balance import _curl, _disc_max, _tree_potential, _tree_structure
 from bttest.errors import ParseError
-from bttest.tournament import _check_n, _real, _small_side, logit, pair_index
+from bttest.tournament import _check_n, _check_vertex, _real, _small_side, logit, pair_index
 
 
 @pytest.fixture
@@ -267,7 +267,8 @@ def reference_tournament(n, weights, low_wins):
         for i, w in enumerate(weights):
             _real(w, *pair(i))  # raises on the first non-real entry
     w = np.array(given, dtype=float)
-    outside = ~((bt.ETA <= w) & (w <= 1.0 - bt.ETA))
+    # the floor is the complement of the top, a hair below ETA
+    outside = ~((1.0 - (1.0 - bt.ETA) <= w) & (w <= 1.0 - bt.ETA))
     if outside.any():
         i = int(np.argmax(outside))
         x, y = pair(i)
@@ -334,7 +335,7 @@ def reference_set_prob(t, x, y, p):
 def reference_repair_with_root(t, r):
     """(tournament, report) of ``repair_with_root`` built through
     ``reference_tournament``."""
-    t._check_vertex(r)
+    _check_vertex(r, t.n)
     u, v = t._oriented()
     ell = t.log_odds_matrix()
     e = np.stack((ell[u, v], ell[v, r], ell[r, u]))
@@ -361,10 +362,14 @@ def reference_extend_tree(tw):
     """``extend_tree`` built through ``reference_tournament``, without its
     ClampWarning."""
     n = tw.n
-    rise = {(u, v): logit(w) for u, v, w in tw.edges}
-    rise.update({(v, u): -ell for (u, v), ell in rise.items()})
-    log_pi = _tree_potential(n, [(u, v) for u, v, _ in tw.edges], lambda a, b: np.array(
-        [rise[e] for e in zip(a.tolist(), b.tolist())]))
+    parent, depth = _tree_structure(n, [(u, v) for u, v, _ in tw.edges])
+    rise = np.zeros(n)  # each child's rise from its parent, one edge at a time
+    for u, v, w in tw.edges:
+        if parent[v] == u:
+            rise[v] = logit(w)
+        else:
+            rise[u] = -logit(w)
+    log_pi = _tree_potential(parent, depth, rise[1:])
     lo, hi = np.triu_indices(n, k=1)
     weights, low_wins, _ = _small_side(log_pi[hi] - log_pi[lo])
     for u, v, w in tw.edges:

@@ -1,7 +1,8 @@
-"""The error surface, generated: every public callable in ``bttest.__all__``,
-given a value of the wrong type, shape or size for any one argument, returns
-or raises a ``TournamentError``.  No raw numpy or Python exception escapes,
-apart from the few written out in ``OUT_OF_SCOPE``.
+"""The error surface, generated: every public callable in ``bttest.__all__``
+and every query method of a tournament, given a value of the wrong type,
+shape or size for any one argument, returns or raises a ``TournamentError``.
+No raw numpy or Python exception escapes, apart from the few written out in
+``OUT_OF_SCOPE``.
 
 Each call starts from one valid set of arguments, read by parameter name
 from ``VALID`` (or ``VALID_FOR`` where a name means something else), and
@@ -16,6 +17,7 @@ import os
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,11 +88,15 @@ OUT_OF_SCOPE = (
 )
 
 
+#: The query methods of a tournament, walked on ``T``.
+QUERIES = ("prob", "log_odds", "prob_matrix", "log_odds_matrix")
+
+
 def _callables():
     """Every name in ``bttest.__all__`` that can be called, exceptions and
-    warnings aside, with its valid arguments.  A parameter that ``VALID``
-    does not name fails here, at collection, so no new callable goes
-    untested."""
+    warnings aside, and each of ``QUERIES`` as ``T.<name>``, with its valid
+    arguments.  A parameter that ``VALID`` does not name fails here, at
+    collection, so no new callable goes untested."""
     calls = {}
     for name in bt.__all__:
         obj = getattr(bt, name)
@@ -98,6 +104,9 @@ def _callables():
             continue
         valid = {**VALID, **VALID_FOR.get(name, {})}
         calls[name] = (obj, {p: valid[p] for p in inspect.signature(obj).parameters})
+    for name in QUERIES:
+        method = getattr(T, name)
+        calls[f"T.{name}"] = (method, {p: VALID[p] for p in inspect.signature(method).parameters})
     return calls
 
 
@@ -124,7 +133,8 @@ def test_every_public_callable_runs_on_its_valid_arguments(tmp_path):
 @settings(max_examples=1500, deadline=None)
 @given(data=st.data())
 def test_a_wrong_argument_raises_a_library_error(data):
-    name = data.draw(st.sampled_from(sorted(CALLS)), label="callable")
+    name = data.draw(st.sampled_from(sorted(n for n, (_, kw) in CALLS.items() if kw)),
+                     label="callable")
     call, kwargs = CALLS[name]
     arg = data.draw(st.sampled_from(sorted(kwargs)), label="argument")
     value = data.draw(st.one_of(st.sampled_from(WRONG), WRONG_SIZE, BINARY,
@@ -136,3 +146,15 @@ def test_a_wrong_argument_raises_a_library_error(data):
     except Exception as exc:  # noqa: BLE001 - the assertion is that none escapes
         if not any(rule(name, arg, exc) for rule in OUT_OF_SCOPE):
             raise
+
+
+@pytest.mark.parametrize("query", ["prob", "log_odds"])
+@pytest.mark.parametrize("arg", ["x", "y"])
+def test_every_wrong_id_of_a_query_returns_or_raises_a_library_error(query, arg):
+    # the walk above draws these too, but not each one on every run
+    call, kwargs = CALLS[f"T.{query}"]
+    for value in WRONG:
+        try:
+            _run(call, {**kwargs, arg: value})
+        except bt.TournamentError:
+            pass

@@ -3,7 +3,7 @@ tournaments, with weights drawn up to the probability floor ETA."""
 
 import math
 import warnings
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -523,26 +523,87 @@ def test_estimate_matches_the_per_chunk_reference(t, samples, seed):
 #: Index dtypes ``log_odds`` reads; "python" gives plain ints (0-d only).
 index_dtypes = st.sampled_from(["int64", "int32", "uint64", "uint8", "bool", "object"])
 
+#: Shapes of x and y: equal, then broadcast but not equal.
+id_shapes = st.sampled_from([((), ()), ((0,), (0,)), ((1,), (1,)), ((7,), (7,)), ((4, 3), (4, 3)),
+                             ((0, 3), (0, 3)), ((4, 1), (3,)), ((), (7,))])
+
+
+def _per_entry(t, x, y, read):
+    """``read(t, i, a, b)`` of the pair position i of each entry (a, b) of
+    the broadcast ids, as Python values: one value for 0-d ids, else a list
+    and the broadcast shape."""
+    x, y = np.broadcast_arrays(x, y)
+    got = []
+    for a, b in zip(x.ravel().tolist(), y.ravel().tolist()):
+        lo, hi = min(a, b), max(a, b)
+        got.append(read(t, lo * (2 * t.n - lo - 1) // 2 + (hi - lo - 1), a, b))
+    return got[0] if x.ndim == 0 else (got, x.shape)
+
+
+def _reference_prob(t, x, y):
+    """``prob`` read per entry: the stored weight, or its complement."""
+    got = _per_entry(t, x, y, lambda t, i, a, b: float(t.weights[i])
+                     if bool(t.low_wins[i]) == (a < b) else 1.0 - float(t.weights[i]))
+    return got if type(got) is float else np.array(got[0], dtype=float).reshape(got[1])
+
+
+def _reference_pair_index(t, x, y):
+    got = _per_entry(t, x, y, lambda t, i, a, b: i)
+    return got if type(got) is int else np.array(got[0], dtype=np.int64).reshape(got[1])
+
 
 @settings(max_examples=150, deadline=None)
-@given(tournaments(), st.sampled_from([(), (0,), (1,), (7,), (4, 3), (0, 3)]),
-       index_dtypes, index_dtypes, st.booleans(), st.data())
-def test_log_odds_matches_the_reference_bit_for_bit(t, shape, dx, dy, python, data):
+@given(tournaments(), id_shapes, index_dtypes, index_dtypes, st.booleans(), st.data())
+def test_log_odds_matches_the_reference_bit_for_bit(t, shapes, dx, dy, python, data):
+    """``log_odds``, ``prob`` and ``pair_index`` over ids of any index dtype,
+    of equal shapes or shapes that broadcast, give the bits of per-entry
+    reads."""
+    sx, sy = shapes
     top = 1 if "bool" in (dx, dy) else t.n - 1
-    pairs = data.draw(st.lists(
-        st.tuples(st.integers(0, top), st.integers(0, top)).filter(lambda p: p[0] != p[1]),
-        min_size=math.prod(shape), max_size=math.prod(shape)))
-    xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
-    if shape == () and python:
-        x, y = xs[0], ys[0]
-    else:
-        x, y = np.array(xs, dtype=dx).reshape(shape), np.array(ys, dtype=dy).reshape(shape)
-    got, want = t.log_odds(x, y), reference_log_odds(t, x, y)
-    assert type(got) is type(want)
-    if shape == ():
-        assert got.hex() == want.hex()
-        return
-    assert got.shape == shape
-    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
-    if got.size:  # the reference read an empty unsigned array as shape (0,)
-        assert want.shape == shape
+    if sx == sy:
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, top), st.integers(0, top)).filter(lambda p: p[0] != p[1]),
+            min_size=math.prod(sx), max_size=math.prod(sx)))
+        xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
+    else:  # each x meets each y: draw them from the two sides of a cut
+        ids = data.draw(st.permutations(range(top + 1)))
+        cut = data.draw(st.integers(1, top))
+        xs, ys = (data.draw(st.lists(st.sampled_from(side), min_size=math.prod(s),
+                                     max_size=math.prod(s)))
+                  for side, s in ((ids[:cut], sx), (ids[cut:], sy)))
+    x, y = (v[0] if python and s == () else np.array(v, dtype=d).reshape(s)
+            for v, d, s in ((xs, dx, sx), (ys, dy, sy)))
+    shape = np.broadcast_shapes(sx, sy)
+    for read, reference in ((t.log_odds, reference_log_odds),
+                            (t.prob, _reference_prob),
+                            (lambda x, y: bt.pair_index(t.n, x, y), _reference_pair_index)):
+        got, want = read(x, y), reference(t, x, y)
+        assert type(got) is type(want)
+        if shape == ():
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            continue
+        assert got.shape == shape
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        if got.size:  # the log-odds reference read an empty unsigned array as shape (0,)
+            assert want.shape == shape
+
+
+#: Weights at the band's two edges, where a complement leaves the band
+#: [ETA, 1 - ETA] in floating point, and anywhere inside it.
+edge_weight = st.sampled_from([ETA, 1.0 - ETA]) | weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(edge_weight, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+    st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+def test_a_read_weight_is_taken_back(case):
+    """Every ``prob`` is a weight: ``set_prob`` stores it back, and a tree
+    edge carries it."""
+    t = bt.StochasticTournament(*case)
+    for x, y in permutations(range(t.n), 2):
+        p = t.prob(x, y)
+        assert bt.set_prob(t, x, y, p).prob(x, y) == p
+        rest = tuple((x, z, 0.5) for z in range(t.n) if z not in (x, y))
+        assert bt.TreeWeights(t.n, ((x, y, p), *rest)).edges[0] == (x, y, p)

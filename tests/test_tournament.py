@@ -121,6 +121,22 @@ class TestProb:
         t = bt.new_tournament(2, [(0, 1, 1.0 - bt.ETA)])
         assert t.prob(0, 1) + t.prob(1, 0) == 1.0
 
+    def test_the_floor_is_the_complement_of_the_top(self):
+        # against an edge stored at 1 - ETA, prob reads 1 - (1 - ETA) < ETA
+        t = bt.StochasticTournament(2, [1.0 - bt.ETA], [True])
+        low = t.prob(1, 0)
+        assert low < bt.ETA and 1.0 - low == 1.0 - bt.ETA
+        assert bt.StochasticTournament(2, [low], [True]).prob(1, 0) == 1.0 - bt.ETA
+        # float32(1e-12) is 9.9999998e-13 as float64, inside the band
+        assert bt.StochasticTournament(2, [np.float32(1e-12)], [True]).weights[0] < bt.ETA
+        below = np.nextafter(low, 0.0)
+        for build in (lambda: bt.StochasticTournament(2, [below], [True]),
+                      lambda: bt.set_prob(t, 0, 1, below),
+                      lambda: bt.TreeWeights(2, ((0, 1, below),))):
+            with pytest.raises(bt.OutOfRangeProbabilityError,
+                               match=r"outside \[1e-12, 0\.999999999999\]"):
+                build()
+
     @pytest.mark.parametrize("read", [
         lambda t: t.prob(0.5, 1),
         lambda t: t.log_odds(np.array([0.0]), np.array([1.0])),
@@ -636,3 +652,71 @@ class TestArrayReads:
         # a bool is an int, as for prob(True, False)
         assert cyclic3.log_odds(np.array([True]), np.array([False])).tolist() == [
             cyclic3.log_odds(1, 0)]
+
+
+#: Malformed ids of an edge query on 3 vertices, with the error and the
+#: start of its message: the first bad entry in broadcast order, x before y
+#: within an entry, named as a Python value.
+MALFORMED = [
+    ("a", 1, bt.VertexOutOfRangeError, "vertex 'a' is"),
+    (None, 1, bt.VertexOutOfRangeError, "vertex None is"),
+    (0.5, 1, bt.VertexOutOfRangeError, "vertex 0.5 is"),
+    (2**70, 1, bt.VertexOutOfRangeError, "vertex 1180591620717411303424 is"),
+    (-1, 1, bt.VertexOutOfRangeError, "vertex -1 is"),
+    (0, 3, bt.VertexOutOfRangeError, "vertex 3 is"),
+    (3, "b", bt.VertexOutOfRangeError, "vertex 3 is"),
+    (1, 1, bt.SelfLoopError, "x == y is no pair (x = 1)"),
+    (np.int64(2), np.uint8(2), bt.SelfLoopError, "x == y is no pair (x = 2)"),
+    (np.int64(5), 0, bt.VertexOutOfRangeError, "vertex 5 is"),
+    (1, np.float64(2.0), bt.VertexOutOfRangeError, "vertex 2.0 is"),
+    ([0, 1], [1, 2, 0], bt.DimensionMismatchError, "id shapes (2,) and (3,)"),
+    ([[0, 1], [1]], 2, bt.DimensionMismatchError, "a ragged nest"),
+    ([0, [1]], [1, 2], bt.DimensionMismatchError, "a ragged nest"),
+    ([0, 1, 3], [1, 2, 0], bt.VertexOutOfRangeError, "vertex 3 is"),
+    ([1, 0], [1, 5], bt.SelfLoopError, "x == y is no pair (x = 1)"),
+    ([[0], [1]], [1, 9], bt.VertexOutOfRangeError, "vertex 9 is"),
+    (np.array([0, "a"], dtype=object), [1, 9], bt.VertexOutOfRangeError, "vertex 'a' is"),
+    (np.array([1.0]), [2], bt.VertexOutOfRangeError, "vertex 1.0 is"),
+    (np.array([2**64 - 1], dtype=np.uint64), 0, bt.VertexOutOfRangeError,
+     "vertex 18446744073709551615 is"),
+]
+
+
+@pytest.mark.parametrize("x, y, error, message", MALFORMED)
+def test_every_edge_query_refuses_an_id_alike(cyclic3, x, y, error, message):
+    queries = [lambda: bt.pair_index(3, x, y), lambda: cyclic3.prob(x, y),
+               lambda: cyclic3.log_odds(x, y)]
+    if not isinstance(x, (list, np.ndarray)) and not isinstance(y, (list, np.ndarray)):
+        queries.append(lambda: bt.set_prob(cyclic3, x, y, 0.5))
+    raised = []
+    for query in queries:
+        with pytest.raises(error) as info:
+            query()
+        raised.append((type(info.value), str(info.value)))
+    assert raised == [raised[0]] * len(queries)
+    assert raised[0][1].startswith(message)
+
+
+@pytest.mark.parametrize("root", [np.int64(5), np.uint64(2**64 - 1), 3, -1, "a", 0.5, None])
+def test_a_root_is_named_like_a_query_id(cyclic3, root):
+    with pytest.raises(bt.VertexOutOfRangeError) as query:
+        cyclic3.prob(root, 0)
+    for call in (bt.repair_with_root, bt.scores_from_root):
+        with pytest.raises(bt.VertexOutOfRangeError) as info:
+            call(cyclic3, root)
+        assert str(info.value) == str(query.value)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0, 1], 2), (np.array([0]), [1]), (np.array(0), 1), ((0,), (1,)), ([], 1),
+])
+def test_set_prob_sets_one_pair(cyclic3, x, y):
+    with pytest.raises(bt.VertexOutOfRangeError, match="^vertex .* is not an integer"):
+        bt.set_prob(cyclic3, x, y, 0.5)
+
+
+def test_an_empty_list_of_ids_reads_nothing(cyclic3):
+    # [] is a float64 array, so it takes the per-entry path
+    for got, dtype in ((bt.pair_index(3, [], 1), np.int64), (cyclic3.prob([], 1), float),
+                       (cyclic3.log_odds(1, []), float)):
+        assert got.shape == (0,) and got.dtype == dtype
