@@ -34,9 +34,9 @@ from .errors import (
 from .tournament import (
     TAU,
     StochasticTournament,
-    _check_id,
     _check_n,
     _check_param,
+    _check_vertex,
     _is_gradient,
     _is_vertex,
     _pair_index,
@@ -55,7 +55,7 @@ class Triangle:
     z: int
 
     def __post_init__(self):
-        a, b, c = sorted(map(_check_id, (self.x, self.y, self.z)))
+        a, b, c = sorted(map(_check_vertex, (self.x, self.y, self.z)))
         if a == b or b == c:
             raise SelfLoopError(f"triangle vertices must be distinct: {self}")
         object.__setattr__(self, "x", a)
@@ -74,7 +74,7 @@ class DirectedCycle:
 
     def __post_init__(self):
         try:
-            vs = tuple(map(_check_id, self.vertices))
+            vs = tuple(map(_check_vertex, self.vertices))
         except TypeError:  # 5, or a 0-d array: no collection of vertices
             raise DegenerateCycleError(
                 f"cycle vertices must be a collection, got {self.vertices!r}") from None

@@ -31,7 +31,7 @@ import numpy as np
 from .balance import Triangle, log_triangle_ratio
 from .errors import ParameterOutOfRangeError
 from .tournament import (
-    _INTEGER, MAX_PAIRS, TAU, StochasticTournament, _check_n, _check_param, _check_seed, _rng)
+    MAX_PAIRS, TAU, StochasticTournament, _check_n, _check_param, _check_seed, _is_integer, _rng)
 
 #: Triangles per chunk at most; bounds the tester's memory.
 _CHUNK = 1024
@@ -186,7 +186,7 @@ def estimate_unbalanced_fraction(
     """
     _check_n(t.n, 3)
     _check_param("samples", samples, "an integer in [1, 2**40]",
-                 lambda k: isinstance(k, _INTEGER) and 1 <= k <= MAX_PAIRS)
+                 lambda k: _is_integer(k) and 1 <= k <= MAX_PAIRS)
     chunks = _triangles(_rng(seed), t.n, samples, _CHUNK)
     bad = sum(np.count_nonzero(abs(log_triangle_ratio(t, c)) > TAU) for c in chunks)
     return bad / samples

@@ -64,19 +64,12 @@ MAX_PAIRS = 2**40
 #: The largest vertex count with at most ``MAX_PAIRS`` pairs.
 _MAX_N = (1 + math.isqrt(1 + 8 * MAX_PAIRS)) // 2
 
-#: Types a vertex id may have, built once rather than on every check; see
-#: :func:`_is_integer`.
-_INTEGER = (int, np.integer)
-
-#: Types an orientation flag may have; its value must be 0 or 1 too.
-_FLAG = (int, np.integer, np.bool_)
-
 
 def _check_param(name: str, value, rule: str, inside) -> None:
     """The one rule for a scalar parameter: a number under :func:`_non_number`
     for which ``inside(value)`` holds (written so that NaN fails it), else
     ParameterOutOfRangeError naming ``rule``."""
-    if _non_number(type(value)) and _non_number(_kind(value)):  # a 0-d array by its element
+    if _non_number(value):
         raise ParameterOutOfRangeError(f"{name} must be a real number, got {value!r}")
     if not _holds(inside, value):
         raise ParameterOutOfRangeError(f"{name} must be {rule}, got {value}")
@@ -99,12 +92,9 @@ def _check_positive(name: str, values, n: int | None = None) -> np.ndarray:
     if given.ndim != 1 or (given.size < 2 if n is None else given.size != n):
         raise DimensionMismatchError(
             f"{name} must be a 1-D vector of length {'>= 2' if n is None else n}")
-    if given.dtype.kind not in "iuf" or not isinstance(values, np.ndarray):
-        # the caller's entries, not numpy's coercion: [1, True] is all integers
-        entries = given.tolist() if isinstance(values, np.ndarray) else list(values)
-        for v in entries:
-            if _non_number(type(v)) and _non_number(_kind(v)):
-                raise ParameterOutOfRangeError(f"{name} entry {v!r} is not a real number")
+    bad = _screen(values, given, _non_number_type, _non_number)
+    if bad:
+        raise ParameterOutOfRangeError(f"{name} entry {bad[1]!r} is not a real number")
     a = np.asarray(given, dtype=float)
     if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
         raise ParameterOutOfRangeError(f"{name} must be strictly positive and finite")
@@ -115,8 +105,7 @@ def _check_seed(seed) -> None:
     """The one rule for a seed: an ``int`` or numpy integer >= 0, not a bool.
     None is refused too, since it would draw OS entropy and the run could
     not be repeated."""
-    _check_param("seed", seed, "an integer >= 0",
-                 lambda s: isinstance(s, _INTEGER) and s >= 0)
+    _check_param("seed", seed, "an integer >= 0", lambda s: _is_integer(s) and s >= 0)
 
 
 def _check_n(n, least: int = 2) -> int:
@@ -213,7 +202,8 @@ def _pair_of(n: int, i: int) -> tuple[int, int]:
 def _is_integer(v) -> bool:
     """An ``int`` or numpy integer, bools included; not ``np.timedelta64``,
     a duration that numpy derives from its integers."""
-    return type(v) is int or (isinstance(v, _INTEGER) and not isinstance(v, np.timedelta64))
+    return type(v) is int or (isinstance(v, (int, np.integer))
+                              and not isinstance(v, np.timedelta64))
 
 
 def _is_vertex(v, n: int) -> bool:
@@ -221,66 +211,84 @@ def _is_vertex(v, n: int) -> bool:
     return _is_integer(v) and 0 <= v < n
 
 
-def _check_vertex(v, n: int) -> int:
-    """``v`` as an ``int`` under :func:`_is_vertex`, or an error that names it
-    as a Python value: 5, not np.int64(5)."""
-    if not _is_vertex(v, n):
+def _check_vertex(v, n: int | None = None) -> int:
+    """``v`` as an ``int`` under :func:`_is_vertex`, or, when no ``n`` bounds
+    it, under :func:`_is_integer`; else an error that names it as a Python
+    value: 5, not np.int64(5)."""
+    if not (_is_integer(v) if n is None else _is_vertex(v, n)):
         v = v.item() if isinstance(v, np.generic) else v
-        raise VertexOutOfRangeError(f"vertex {v!r} is not an integer in [0, {n})")
+        where = "" if n is None else f" in [0, {n})"
+        raise VertexOutOfRangeError(f"vertex {v!r} is not an integer{where}")
     return int(v)
-
-
-def _check_id(v) -> int:
-    """The type half of :func:`_is_vertex`: ``v`` as an ``int``, or an error."""
-    if not _is_integer(v):
-        raise VertexOutOfRangeError(f"vertex {v!r} is not an integer")
-    return int(v)
-
-
-def _record(record, fields: tuple[str, ...]) -> tuple:
-    """``record`` as a tuple of its ``fields``, or an error that names it."""
-    try:
-        fits = len(record) == len(fields)
-    except TypeError:  # no sized collection: 7, np.array(7)
-        fits = False
-    if not fits:
-        raise DimensionMismatchError(f"record {record!r} is not ({', '.join(fields)})")
-    return tuple(record)
 
 
 def _records(records, fields: tuple[str, ...]) -> list[tuple]:
-    """Each of ``records`` through :func:`_record`, or an error that names
-    ``records`` when it is no collection."""
+    """``records`` as a list of tuples of its ``fields``, or an error that
+    names the first record that is not one, or ``records`` when it is no
+    collection."""
     try:
         records = iter(records)
     except TypeError:
         raise DimensionMismatchError(
             f"{records!r} is not a collection of ({', '.join(fields)}) records") from None
-    return [_record(r, fields) for r in records]
+    rows = []
+    for r in records:
+        try:
+            fits = len(r) == len(fields)
+        except TypeError:  # no sized collection: 7, np.array(7)
+            fits = False
+        if not fits:
+            raise DimensionMismatchError(f"record {r!r} is not ({', '.join(fields)})")
+        rows.append(tuple(r))
+    return rows
 
 
-def _non_real(kind: type) -> bool:
-    """Not a type a weight may have.  A number is a ``numbers.Real``, where
-    numpy's real scalars and ``Fraction`` register, or a ``decimal.Decimal``;
-    not ``np.timedelta64``, a duration that numpy registers there too.  A
-    0-d array is judged by its element (see :func:`_kind`)."""
+def _non_number(v) -> bool:
+    """Not a number: the one number rule, for every numeric parameter,
+    weight and vector entry.  A number is a ``numbers.Real``, where numpy's
+    real scalars and ``Fraction`` register, or a ``decimal.Decimal``, or a
+    0-d array of one, judged by its element; not a bool, which is a flag,
+    nor ``np.timedelta64``, a duration that numpy registers there too.  An
+    array of one or more dimensions is no number, one element or many."""
+    if isinstance(v, np.ndarray) and v.ndim == 0:
+        v = v[()]
+    return _non_number_type(type(v))
+
+
+@functools.cache
+def _non_number_type(kind: type) -> bool:
+    """:func:`_non_number` of every value of type ``kind`` but a 0-d array.
+    Cached per type, since the tester checks its parameters on every run."""
     return (not issubclass(kind, (numbers.Real, decimal.Decimal))
-            or issubclass(kind, np.timedelta64))
+            or issubclass(kind, (bool, np.bool_, np.timedelta64)))
 
 
-def _kind(v) -> type:
-    """The type the number rules judge ``v`` by: that of the element of a
-    0-d array, which is read as that element, else its own.  An array of
-    one or more dimensions is no number, one element or many."""
-    return type(v[()] if isinstance(v, np.ndarray) and v.ndim == 0 else v)
+def _screen(values, given: np.ndarray, refused_type, refused) -> tuple[int, object] | None:
+    """The first entry of ``values`` that ``refused`` refuses, with its
+    position, or None.  The entries are judged as the caller wrote them,
+    not as numpy coerced them into ``given`` ([1, True] holds a bool).  Each
+    entry type, or an array's dtype, is judged once by ``refused_type``,
+    and only the entries of a type it refuses go to ``refused`` one by one."""
+    if isinstance(values, np.ndarray):
+        if not refused_type(given.dtype.type):
+            return None
+        entries = given.tolist()
+    else:
+        entries = list(values)
+    failed = {k for k in set(map(type, entries)) if refused_type(k)}
+    if failed:
+        for i, v in enumerate(entries):
+            if type(v) in failed and refused(v):
+                return i, v
+    return None
 
 
 def _real(w, x, y):
-    """``w`` as given, unless :func:`_non_real` refuses it or it lies outside
-    ``[_FLOOR, 1 - ETA]``: then an error that names the pair (x, y) it was
-    given for.  The message says ``[ETA, 1 - ETA]``: every number the floor
-    refuses lies below ETA too."""
-    if _non_real(_kind(w)):
+    """``w`` as given, unless :func:`_non_number` refuses it or it lies
+    outside ``[_FLOOR, 1 - ETA]``: then an error that names the pair (x, y)
+    it was given for.  The message says ``[ETA, 1 - ETA]``: every number the
+    floor refuses lies below ETA too."""
+    if _non_number(w):
         raise OutOfRangeProbabilityError(
             f"p={w!r} for pair ({x}, {y}) is not a real number"
         )
@@ -289,19 +297,6 @@ def _real(w, x, y):
             f"p={w} for pair ({x}, {y}) outside [{ETA}, {1.0 - ETA}]"
         )
     return w
-
-
-def _is_flag(f) -> bool:
-    """The one rule for an orientation flag: a bool or an integer 0 or 1."""
-    return isinstance(f, _FLAG) and (f == 0 or f == 1)
-
-
-@functools.cache
-def _non_number(kind: type) -> bool:
-    """A type :func:`_non_real` refuses, or a bool, which is a flag and not a
-    number: the rule for every numeric parameter.  Cached per type, since
-    the tester checks its parameters on every run."""
-    return _non_real(kind) or issubclass(kind, (bool, np.bool_))
 
 
 def _shaped(values) -> np.ndarray:
@@ -385,30 +380,22 @@ class StochasticTournament:
                 f"expected {m} pair entries for n={self.n}, "
                 f"got {given.shape} / {flags.shape}"
             )
-        if flags.dtype != bool:
-            # the caller's entries, not numpy's coercion: [True, 0.5] is all floats
-            entries = (flags.tolist() if isinstance(self.low_wins, np.ndarray)
-                       else list(self.low_wins))
-            flag = np.fromiter(map(_is_flag, entries), bool, m)
-            if not flag.all():
-                i = int(np.argmin(flag))
-                raise ParameterOutOfRangeError(
-                    f"orientation flag {entries[i]!r} for pair {_pair_of(self.n, i)} "
-                    "is not a bool or an integer 0 or 1"
-                )
+        bad = _screen(self.low_wins, flags, lambda k: k is not bool and k is not np.bool_,
+                      lambda f: not (_is_integer(f) and (f == 0 or f == 1)))
+        if bad:
+            raise ParameterOutOfRangeError(
+                f"orientation flag {bad[1]!r} for pair {_pair_of(self.n, bad[0])} "
+                "is not a bool or an integer 0 or 1"
+            )
         low_wins = _adopt(flags, bool)
 
         def pair(i):  # the pair of entry i, as stored
             lo, hi = _pair_of(self.n, i)
             return (lo, hi) if low_wins[i] else (hi, lo)
 
-        if given.dtype.kind not in "biuf":
-            # the caller's entries, not numpy's coercion: [0.5, "x"] is all strings
-            kinds = [type(w) for w in self.weights]
-            bad = {k for k in set(kinds) if _non_real(k)}  # one check per type
-            for i in (i for i, k in enumerate(kinds) if k in bad):
-                if _non_real(_kind(self.weights[i])):  # a 0-d array of a number passes
-                    _real(self.weights[i], *pair(i))  # raises
+        bad = _screen(self.weights, given, _non_number_type, _non_number)
+        if bad:
+            _real(bad[1], *pair(bad[0]))  # raises
         weights = _adopt(given, np.float64)
         if not (_FLOOR <= weights.min() and weights.max() <= 1.0 - ETA):  # NaN too
             inside = _FLOOR <= weights
@@ -607,8 +594,8 @@ def check_reversible(
 def gen_bt(scores: Sequence[float] | np.ndarray) -> StochasticTournament:
     """Tournament of an exact Bradley-Terry model: p_xy = a(x) / (a(x) + a(y)).
 
-    Every triangle of the output is balanced.  A score follows the weight
-    rule, and is not a bool either: text, None, complex or a bool raises
+    Every triangle of the output is balanced.  A score is a number under
+    the one number rule: text, None, complex or a bool raises
     ParameterOutOfRangeError.  Raises OutOfRangeProbabilityError if a score
     ratio pushes a probability outside ``[ETA, 1 - ETA]``.
     """

@@ -281,6 +281,7 @@ class TestOrientationFlags:
         ([True, None, True], (0, 2), "None"),
         (np.array([1, 0, -1]), (1, 2), "-1"),
         (np.array([1.0, 0.0, 1.0]), (0, 1), "1.0"),
+        ([True, np.timedelta64(1), True], (0, 2), r"np\.timedelta64\(1\)"),
     ])
     def test_anything_but_a_bool_or_0_or_1_is_refused(self, low_wins, pair, flag):
         with pytest.raises(bt.ParameterOutOfRangeError,

@@ -142,6 +142,10 @@ MALFORMED = {
                               bt.VertexOutOfRangeError, "vertex 1.5 "),
     "Triangle text vertex": (lambda: bt.Triangle(0, 1, "2"),
                              bt.VertexOutOfRangeError, "vertex '2' "),
+    "Triangle numpy float vertex": (lambda: bt.Triangle(0, np.float64(1.5), 2),
+                                    bt.VertexOutOfRangeError, "vertex 1.5 "),
+    "DirectedCycle numpy text vertex": (lambda: bt.DirectedCycle((0, 1, np.str_("x"))),
+                                        bt.VertexOutOfRangeError, "vertex 'x' "),
     "enumerate_triangles text count": (lambda: bt.enumerate_triangles("5"),
                                        bt.ParameterOutOfRangeError, "n='5'"),
     "fundamental_cycles float count": (lambda: bt.fundamental_cycles(3.0, [(0, 1), (1, 2)]),
@@ -173,6 +177,9 @@ MALFORMED = {
     "StochasticTournament ragged weights": (
         lambda: bt.StochasticTournament(3, [0.5, [0.5], 0.5], [True] * 3),
         bt.DimensionMismatchError, "expected 3 pair entries"),
+    "StochasticTournament bool weights": (
+        lambda: bt.StochasticTournament(3, np.array([True] * 3), [True] * 3),
+        bt.OutOfRangeProbabilityError, r"^p=True for pair \(0, 1\) is not a real number$"),
     "log_triangle_ratio two vertices": (lambda: bt.log_triangle_ratio(T, [0, 1]),
                                         bt.DimensionMismatchError, r"got shape \(2,\)"),
     "test_bt two vertices": (lambda: bt.test_bt(T2, bt.TesterConfig(0.1)),
@@ -216,7 +223,8 @@ WEIGHTS = {
 
 @pytest.mark.parametrize("site", WEIGHTS)
 @pytest.mark.parametrize("value", [[0.5], {}, Opaque(), np.array([0.5, 0.5]), np.array([0.5]),
-                                   np.array("0.5"), np.timedelta64(1, "s")], ids=repr)
+                                   np.array("0.5"), np.timedelta64(1, "s"), True, np.True_],
+                         ids=repr)
 def test_a_weight_that_is_not_a_number_is_refused(site, value):
     with pytest.raises(bt.OutOfRangeProbabilityError, match="is not a real number"):
         WEIGHTS[site](value)

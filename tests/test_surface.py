@@ -1,9 +1,12 @@
 """The public surface, pinned as a literal table: every parameter of every
 name in ``bttest.__all__`` and every option of every CLI subcommand.  A
-knob added or removed shows up here as a diff."""
+knob added or removed shows up here as a diff.  Behind the surface, every
+private module-level name of the package is read somewhere in it."""
 
 import argparse
+import ast
 import inspect
+from pathlib import Path
 
 import bttest as bt
 from bttest.cli import build_parser
@@ -133,3 +136,29 @@ def test_api_parameters():
 
 def test_cli_options():
     assert _options(build_parser()) == CLI
+
+
+def _defined(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
+def test_every_private_module_name_is_used():
+    # a merged rule leaves no helper or constant behind that nothing reads;
+    # a name read only inside its own definition is not read
+    private, used = set(), set()
+    for path in Path(bt.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            names = {n for n in _defined(node) if n.startswith("_") and not n.endswith("__")}
+            private |= names
+            reads = {sub.id for sub in ast.walk(node)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            reads |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            used |= reads - names
+    assert not private - used, sorted(private - used)
