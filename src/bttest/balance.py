@@ -37,11 +37,11 @@ from .tournament import (
     _check_n,
     _check_param,
     _check_vertex,
+    _columns,
+    _ends,
     _is_gradient,
-    _is_vertex,
     _pair_index,
     _real,
-    _records,
     _shaped,
 )
 
@@ -298,9 +298,10 @@ class TreeWeights:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        edges = _records(self.edges, ("u", "v", "w"))
-        _tree_structure(self.n, [(u, v) for u, v, _ in edges])  # validates
-        edges = tuple((int(u), int(v), float(_real(w, u, v))) for u, v, w in edges)
+        u, v, w = _columns(self.edges, ("u", "v", "w"))
+        _tree_structure(self.n, zip(u, v))  # validates
+        edges = tuple((int(a), int(b), float(_real(c, a, b))) for a, b, c in zip(u, v, w))
+        object.__setattr__(self, "n", _check_n(self.n))
         object.__setattr__(self, "edges", edges)
 
 
@@ -311,16 +312,14 @@ def _tree_structure(n: int, tree_edges) -> tuple[np.ndarray, np.ndarray]:
     the complete graph on [0, n).
     """
     n = _check_n(n)
-    edges = _records(tree_edges, ("u", "v"))
-    for u, v in edges:  # before any set hashes a vertex
-        if not (_is_vertex(u, n) and _is_vertex(v, n)) or u == v:
-            raise NotASpanningTreeError(f"bad tree edge ({u}, {v})")
-    if len(edges) != n - 1 or len({frozenset(e) for e in edges}) != len(edges):
-        raise NotASpanningTreeError(
-            f"expected {n - 1} distinct edges, got {len(edges)}"
-        )
+    u, v = _columns(tree_edges, ("u", "v"))
+    lo, hi, _, i = _ends(n, u, v)
+    if i < lo.size:
+        raise NotASpanningTreeError(f"bad tree edge ({u[i]}, {v[i]})")
+    if lo.size != n - 1 or np.unique(_pair_index(n, lo, hi)).size != lo.size:
+        raise NotASpanningTreeError(f"expected {n - 1} distinct edges, got {lo.size}")
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
+    for u, v in zip(lo.tolist(), hi.tolist()):
         adj[u].append(v)
         adj[v].append(u)
     parent = np.full(n, -1, dtype=int)

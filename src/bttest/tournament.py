@@ -116,7 +116,7 @@ def _check_n(n, least: int = 2) -> int:
     larger ``least`` the operation has too few vertices
     (TooFewVerticesError); past the ceiling, ParameterOutOfRangeError, before
     anything is allocated."""
-    if isinstance(n, bool) or not _is_integer(n):
+    if isinstance(n, (bool, np.bool_)) or not _is_integer(n):
         raise ParameterOutOfRangeError(f"vertex count must be an integer, got n={n!r}")
     if n < least:
         error = VertexOutOfRangeError if least == 2 else TooFewVerticesError
@@ -146,10 +146,10 @@ def _locate(n: int, x, y):
     """The one rule for an edge query: the position of each pair {x, y} and
     whether x is its low end, an ``int`` and a bool for two ``int`` ids,
     else int64 and bool arrays of the shape ``x`` and ``y`` broadcast to.
-    Each id follows the vertex rule and x == y raises SelfLoopError, checked
-    entry by entry in broadcast order, x before y, so the error names the
-    first bad id; ids that do not broadcast, or a ragged nest, raise
-    DimensionMismatchError."""
+    The first entry in broadcast order that is no pair goes through the
+    vertex rule, x before y, so the error names its first bad id, else
+    raises SelfLoopError (x == y); ids that do not broadcast, or a ragged
+    nest, raise DimensionMismatchError."""
     if type(x) is int and type(y) is int and x != y and 0 <= x < n and 0 <= y < n:
         return _pair_index(n, min(x, y), max(x, y)), x < y
     try:
@@ -157,25 +157,44 @@ def _locate(n: int, x, y):
     except ValueError:  # [[0, 1], [1]] has no shape
         raise DimensionMismatchError("a ragged nest of ids has no shape") from None
     try:
-        if x.dtype.kind in "biu" and y.dtype.kind in "biu":
-            # as int64, where a uint64 id past 2**63 wraps to a negative one
-            a, b = x.astype(np.int64, copy=False), y.astype(np.int64, copy=False)
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            # as unsigned, a negative id lies past n: 0 <= lo < hi < n in two tests
-            ulo, uhi = lo.view(np.uint64), hi.view(np.uint64)
-            if ((ulo < uhi) & (uhi < n)).all():
-                return _pair_index(n, lo, hi), a < b
-        x, y = np.broadcast_arrays(x, y)
+        lo, hi, x_low, i = _ends(n, x, y)
     except ValueError:
         raise DimensionMismatchError(
             f"id shapes {x.shape} and {y.shape} do not broadcast") from None
-    # a bad entry, or no integer or bool dtype: each entry through the vertex
-    # rule before any arithmetic on it, so text or None raises the library error
-    for u, v in zip(x.ravel().tolist(), y.ravel().tolist()):
-        if _check_vertex(u, n) == _check_vertex(v, n):
-            raise SelfLoopError(f"x == y is no pair (x = {u})")
-    # every entry is a vertex id now, bools included, which do not subtract
-    return _locate(n, x.astype(np.int64), y.astype(np.int64))
+    if i < lo.size:
+        u, v = (np.broadcast_to(c, lo.shape).flat[i] for c in (x, y))
+        _check_vertex(u, n)
+        _check_vertex(v, n)
+        raise SelfLoopError(f"x == y is no pair (x = {u})")
+    return _pair_index(n, lo, hi), x_low
+
+
+def _ids(v: np.ndarray) -> np.ndarray:
+    """An id array as int64, -1 where an entry is no integer: an integer or
+    bool dtype as it is (a uint64 past 2**63 wraps negative), any other dtype
+    all -1; an object array by its entry types, once each, then one ``astype``."""
+    if v.dtype.kind in "biu":
+        return v.astype(np.int64, copy=False)
+    if v.dtype != object:
+        return np.full(v.shape, -1, dtype=np.int64)
+    if all(map(_integer_type, set(map(type, v.flat)))):
+        try:
+            return v.astype(np.int64)
+        except OverflowError:  # an int past int64 is no vertex
+            pass
+    ids = [int(e) if _is_integer(e) else -1 for e in v.flat]  # entry by entry
+    return np.array([i if 0 <= i < 2**63 else -1 for i in ids], np.int64).reshape(v.shape)
+
+
+def _ends(n: int, x: np.ndarray, y: np.ndarray):
+    """Each pair {x, y} of id arrays that broadcast, read by :func:`_ids`:
+    its low and high end, whether x is the low one, and the flat position
+    of the first that is no 0 <= lo < hi < n, else their count."""
+    a, b = _ids(x), _ids(y)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    ulo, uhi = lo.view(np.uint64), hi.view(np.uint64)  # as unsigned, a negative id lies past n
+    ok = (ulo < uhi) & (uhi < n)
+    return lo, hi, a < b, ok.size if ok.all() else int(np.argmin(ok))
 
 
 def _pair_index(n: int, x, y):
@@ -200,47 +219,30 @@ def _pair_of(n: int, i: int) -> tuple[int, int]:
 
 
 def _is_integer(v) -> bool:
-    """An ``int`` or numpy integer, bools included; not ``np.timedelta64``,
-    a duration that numpy derives from its integers."""
-    return type(v) is int or (isinstance(v, (int, np.integer))
-                              and not isinstance(v, np.timedelta64))
+    """An ``int`` or numpy integer, ``bool`` and ``np.bool_`` included; not
+    ``np.timedelta64``, a duration that numpy derives from its integers."""
+    return type(v) is int or _integer_type(type(v))
 
 
-def _is_vertex(v, n: int) -> bool:
-    """The one rule for a vertex id: an ``int`` or numpy integer in ``[0, n)``."""
-    return _is_integer(v) and 0 <= v < n
+def _integer_type(kind: type) -> bool:
+    """:func:`_is_integer` of every value of type ``kind``."""
+    return issubclass(kind, (int, np.integer, np.bool_)) and not issubclass(kind, np.timedelta64)
 
 
 def _check_vertex(v, n: int | None = None) -> int:
-    """``v`` as an ``int`` under :func:`_is_vertex`, or, when no ``n`` bounds
-    it, under :func:`_is_integer`; else an error that names it as a Python
-    value: 5, not np.int64(5)."""
-    if not (_is_integer(v) if n is None else _is_vertex(v, n)):
-        v = v.item() if isinstance(v, np.generic) else v
+    """The one rule for a vertex id: ``v`` as an ``int`` when it is an
+    integer in ``[0, n)``, or any integer when no ``n`` bounds it; else an
+    error that names it as a Python value under :func:`_named`."""
+    if not (_is_integer(v) and (n is None or 0 <= v < n)):
         where = "" if n is None else f" in [0, {n})"
-        raise VertexOutOfRangeError(f"vertex {v!r} is not an integer{where}")
+        raise VertexOutOfRangeError(f"vertex {_named(v)!r} is not an integer{where}")
     return int(v)
 
 
-def _records(records, fields: tuple[str, ...]) -> list[tuple]:
-    """``records`` as a list of tuples of its ``fields``, or an error that
-    names the first record that is not one, or ``records`` when it is no
-    collection."""
-    try:
-        records = iter(records)
-    except TypeError:
-        raise DimensionMismatchError(
-            f"{records!r} is not a collection of ({', '.join(fields)}) records") from None
-    rows = []
-    for r in records:
-        try:
-            fits = len(r) == len(fields)
-        except TypeError:  # no sized collection: 7, np.array(7)
-            fits = False
-        if not fits:
-            raise DimensionMismatchError(f"record {r!r} is not ({', '.join(fields)})")
-        rows.append(tuple(r))
-    return rows
+def _named(v):
+    """A numpy scalar as the Python value a message names (5, not
+    np.int64(5)); a ``np.timedelta64``, which may read as an int, as it is."""
+    return v.item() if isinstance(v, np.generic) and not isinstance(v, np.timedelta64) else v
 
 
 def _non_number(v) -> bool:
@@ -265,16 +267,13 @@ def _non_number_type(kind: type) -> bool:
 
 def _screen(values, given: np.ndarray, refused_type, refused) -> tuple[int, object] | None:
     """The first entry of ``values`` that ``refused`` refuses, with its
-    position, or None.  The entries are judged as the caller wrote them,
-    not as numpy coerced them into ``given`` ([1, True] holds a bool).  Each
-    entry type, or an array's dtype, is judged once by ``refused_type``,
-    and only the entries of a type it refuses go to ``refused`` one by one."""
-    if isinstance(values, np.ndarray):
-        if not refused_type(given.dtype.type):
-            return None
-        entries = given.tolist()
-    else:
-        entries = list(values)
+    position, or None.  A typed array fails at its first entry when
+    ``refused_type`` refuses its dtype.  A list or object array is judged as
+    the caller wrote it ([1, True] holds a bool): each entry type once by
+    ``refused_type``, and only entries of a refused type by ``refused``."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return (0, _named(given[0])) if refused_type(given.dtype.type) else None
+    entries = list(values)
     failed = {k for k in set(map(type, entries)) if refused_type(k)}
     if failed:
         for i, v in enumerate(entries):
@@ -380,8 +379,11 @@ class StochasticTournament:
                 f"expected {m} pair entries for n={self.n}, "
                 f"got {given.shape} / {flags.shape}"
             )
-        bad = _screen(self.low_wins, flags, lambda k: k is not bool and k is not np.bool_,
-                      lambda f: not (_is_integer(f) and (f == 0 or f == 1)))
+        bad = _screen(self.low_wins, flags, lambda k: not _integer_type(k),
+                      lambda f: not _is_integer(f))
+        if not bad and flags.dtype != bool:  # integers: 0 or 1, tested at once
+            i = int(np.argmax((flags != 0) & (flags != 1)))
+            bad = None if flags[i] in (0, 1) else (i, _named(flags[i]))
         if bad:
             raise ParameterOutOfRangeError(
                 f"orientation flag {bad[1]!r} for pair {_pair_of(self.n, bad[0])} "
@@ -478,23 +480,37 @@ class StochasticTournament:
         return hash((self.n, self.weights.tobytes(), self.low_wins.tobytes()))
 
 
-def _entry_columns(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``x``, ``y`` and ``p`` columns of the records: the three fields of a
-    record array as they are; for any other iterable of ``(x, y, p)``,
-    object arrays that hold the caller's values."""
-    if isinstance(entries, np.ndarray) and entries.dtype.names:
-        x, y, p = (entries[f] for f in entries.dtype.names)
-        return x, y, p
-    rows = _records(entries, ("x", "y", "p"))
-    x, y, p = (np.fromiter((r[j] for r in rows), object, len(rows)) for j in range(3))
-    return x, y, p
+def _columns(records, fields: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """One column per field of the records: the fields of a record array
+    of as many fields as they are; for any other collection, object arrays
+    that hold the caller's values, or an error that names the first record
+    that is not one, or ``records`` when it is no collection."""
+    if isinstance(records, np.ndarray) and len(records.dtype.names or ()) == len(fields):
+        return tuple(records[f] for f in records.dtype.names)
+    try:
+        records = iter(records)
+    except TypeError:
+        raise DimensionMismatchError(
+            f"{records!r} is not a collection of ({', '.join(fields)}) records") from None
+    rows = []
+    for r in records:
+        try:
+            fits = len(r) == len(fields)
+        except TypeError:  # no sized collection: 7, np.array(7)
+            fits = False
+        if not fits:
+            raise DimensionMismatchError(f"record {r!r} is not ({', '.join(fields)})")
+        rows.append(tuple(r))
+    return tuple(np.fromiter((r[j] for r in rows), object, len(rows)) for j in range(len(fields)))
 
 
-def _vertices(v: np.ndarray, n: int) -> np.ndarray:
-    """:func:`_is_vertex` of every entry of a column."""
-    if v.dtype.kind in "iu":
-        return (0 <= v) & (v < n)
-    return np.fromiter((_is_vertex(a, n) for a in v), bool, len(v))
+def _same(u, v) -> bool:
+    """``u == v`` as a truth, False where it has none ([0.1, 0.2] == 1, or
+    a signaling ``Decimal`` NaN, which raises)."""
+    try:
+        return bool(u == v)
+    except (ArithmeticError, TypeError, ValueError):
+        return False
 
 
 def new_tournament(
@@ -519,32 +535,27 @@ def new_tournament(
     OutOfRangeProbabilityError
     """
     n = _check_n(n)
-    x, y, p = _entry_columns(entries)
-    loop = x == y
-    vertex = _vertices(x, n) & _vertices(y, n)
-    rows = np.flatnonzero(~loop & vertex)
-    xs, ys = x[rows].astype(np.int64), y[rows].astype(np.int64)
-    key = _pair_index(n, np.minimum(xs, ys), np.maximum(xs, ys))
+    x, y, p = _columns(entries, ("x", "y", "p"))
+    # records before the first that is no pair of vertices can only repeat
+    lo, hi, low_wins, k = _ends(n, x, y)
+    key = _pair_index(n, lo[:k], hi[:k])
     order = np.argsort(key, kind="stable")
     key = key[order]
     # a stable sort keeps each pair's first record ahead of its repeats
-    repeat = key[1:] == key[:-1]
-    fault = loop | ~vertex
-    fault[rows[order[1:][repeat]]] = True
-    if fault.any():
-        i = int(np.argmax(fault))
-        if loop[i]:
+    i = order[1:][key[1:] == key[:-1]].min(initial=k)
+    if i < x.size:
+        if i == k and _same(x[i], y[i]):
             raise SelfLoopError(f"entry ({x[i]}, {y[i]}) is a self loop")
-        if not vertex[i]:
+        if i == k:
             raise VertexOutOfRangeError(f"entry ({x[i]}, {y[i]}) is not in [0, {n})")
         raise DuplicatePairError(f"pair {{{x[i]}, {y[i]}}} given twice")
-    if rows.size < n * (n - 1) // 2:
+    if k < n * (n - 1) // 2:
         # positions present are distinct and sorted: the first missing one
         # is the first that does not sit at its own index
-        gap = np.flatnonzero(key != np.arange(rows.size))
-        lo, hi = _pair_of(n, gap[0] if gap.size else rows.size)
+        gap = np.flatnonzero(key != np.arange(k))
+        lo, hi = _pair_of(n, gap[0] if gap.size else k)
         raise MissingPairError(f"no weight for pair {{{lo}, {hi}}}")
-    return StochasticTournament(n, _frozen(p[order]), _frozen(xs[order] < ys[order]))
+    return StochasticTournament(n, _frozen(p[order]), _frozen(low_wins[order]))
 
 
 def markov_matrix(t: StochasticTournament) -> np.ndarray:

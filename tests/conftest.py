@@ -225,9 +225,15 @@ def reference_new_tournament(n, entries):
     weights = [None] * m
     low_wins = [False] * m
     for x, y, p in entries:
-        if x == y:
+        try:
+            loop = bool(x == y)
+        except (ArithmeticError, TypeError, ValueError):  # 2**63 == np.timedelta64(1) raises
+            loop = False  # no truth, no self loop
+        if loop:
             raise bt.SelfLoopError(f"entry ({x}, {y}) is a self loop")
-        if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in (x, y)):
+        # an int or numpy integer, a bool or np.bool_ among them; not a duration
+        if not all(isinstance(v, (int, np.integer, np.bool_))
+                   and not isinstance(v, np.timedelta64) and 0 <= v < n for v in (x, y)):
             raise bt.VertexOutOfRangeError(f"entry ({x}, {y}) is not in [0, {n})")
         lo, hi = (x, y) if x < y else (y, x)
         i = pair_index(n, lo, hi)

@@ -282,6 +282,8 @@ class TestOrientationFlags:
         (np.array([1, 0, -1]), (1, 2), "-1"),
         (np.array([1.0, 0.0, 1.0]), (0, 1), "1.0"),
         ([True, np.timedelta64(1), True], (0, 2), r"np\.timedelta64\(1\)"),
+        (np.array([1, 0, 1], dtype="m8"), (0, 1), r"np\.timedelta64\(1\)"),
+        (np.array([1, 0, 1], dtype="m8[s]"), (0, 1), r"np\.timedelta64\(1,'s'\)"),
     ])
     def test_anything_but_a_bool_or_0_or_1_is_refused(self, low_wins, pair, flag):
         with pytest.raises(bt.ParameterOutOfRangeError,
@@ -297,9 +299,21 @@ class TestOrientationFlags:
         assert t.low_wins.tolist() == [True, False, True]
 
 
+@pytest.mark.parametrize("weights, entry", [
+    (np.array([1, 1, 1], dtype="m8"), r"np\.timedelta64\(1\)"),
+    (np.array([1, 1, 1], dtype="m8[s]"), r"np\.timedelta64\(1,'s'\)"),
+    (np.array([True, True, True]), "True"), (np.array(["0.5"] * 3), "'0.5'"),
+])
+def test_a_typed_weights_array_is_judged_by_its_dtype(weights, entry):
+    with pytest.raises(bt.OutOfRangeProbabilityError,
+                       match=rf"^p={entry} for pair \(0, 1\) is not a real number$"):
+        bt.StochasticTournament(3, weights, [True] * 3)
+
+
 @pytest.mark.parametrize("scores", [
     ["1", "2"], [1, "x"], [1, True], [1, None], [1, 2j], [b"1", 2],
     np.array([True, True]), np.array(["1", "2"]), np.array([1, 2j]),
+    np.array([1, 2], dtype="m8"), np.array([1, 2], dtype="m8[s]"),
 ])
 def test_gen_bt_refuses_a_score_that_is_not_a_number(scores):
     with pytest.raises(bt.ParameterOutOfRangeError, match="is not a real number"):

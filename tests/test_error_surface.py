@@ -1,6 +1,7 @@
 """The error surface, swept: every public callable in ``bttest.__all__`` and
 every query method of a tournament, given a value of the wrong type, shape
-or size for any one argument, returns or raises a ``TournamentError``.  No
+or size for any one argument, or for any one field of one record of an
+argument that holds records, returns or raises a ``TournamentError``.  No
 raw numpy or Python exception escapes, apart from the few written out in
 ``OUT_OF_SCOPE``.
 
@@ -63,6 +64,14 @@ TOO_LARGE = {
     "n": [0, 1, 2**21, 2**33, 2**40, 10**30],
     **{v: [4, 2**33, 2**70] for v in ("x", "y", "z", "r")},
 }
+
+
+#: Arguments that hold records, a field of which the sweep also replaces
+#: (a vertex of ``vertices`` stands as a record of its own), and the values
+#: it puts there: every wrong value and size above, ids past any tournament
+#: here, and durations, bare and as an array.
+RECORDS = ("entries", "edges", "tree_edges", "vertices")
+WRONG_FIELD = [*WRONG, *WRONG_SIZE, *TOO_LARGE["x"], np.timedelta64(1), np.array([1], dtype="m8")]
 
 
 def binary():
@@ -140,4 +149,29 @@ def test_a_wrong_argument_raises_a_library_error():
                 except Exception as exc:  # noqa: BLE001 - the assertion is that none escapes
                     if not any(rule(name, arg, exc) for rule in OUT_OF_SCOPE):
                         escapes.append(f"{name}({arg}={value!r}): {type(exc).__name__}: {exc}")
+    assert not escapes, "\n".join(escapes)
+
+
+def _with_field(records, i, j, value):
+    """``records`` with field ``j`` of record ``i`` set to ``value``, or with
+    record ``i`` set to it where a record is a bare value."""
+    rows = list(records)
+    rows[i] = value if np.ndim(rows[i]) == 0 else (*rows[i][:j], value, *rows[i][j + 1:])
+    return rows
+
+
+def test_a_wrong_record_field_raises_a_library_error():
+    escapes = []
+    for name, (call, kwargs) in CALLS.items():
+        for arg in kwargs.keys() & RECORDS:
+            for i, record in enumerate(kwargs[arg]):
+                for j in range(len(record) if np.ndim(record) else 1):
+                    for value in WRONG_FIELD:
+                        try:
+                            _run(call, {**kwargs, arg: _with_field(kwargs[arg], i, j, value)})
+                        except bt.TournamentError:
+                            pass
+                        except Exception as exc:  # noqa: BLE001 - the assertion is that none escapes
+                            escapes.append(f"{name}({arg}[{i}][{j}]={value!r}): "
+                                           f"{type(exc).__name__}: {exc}")
     assert not escapes, "\n".join(escapes)

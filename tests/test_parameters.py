@@ -87,6 +87,17 @@ def test_a_vector_entry_that_is_not_a_positive_number_is_refused(site, value):
 
 
 @pytest.mark.parametrize("site", VECTORS)
+@pytest.mark.parametrize("vector", [
+    np.array([1, 2, 4], dtype="m8"), np.array([1, 2, 4], dtype="m8[s]"),
+    np.array([True, True, True]), np.array(["1", "2", "4"]), np.array([1, 2, 4], dtype=complex),
+], ids=repr)
+def test_a_typed_vector_is_judged_by_its_dtype(site, vector):
+    # every entry of a typed array is of its dtype, so the first is named
+    with pytest.raises(bt.ParameterOutOfRangeError, match="entry .* is not a real number"):
+        VECTORS[site](vector)
+
+
+@pytest.mark.parametrize("site", VECTORS)
 @pytest.mark.parametrize("value", [[1.0], [[1.0, 2.0, 4.0]], 1.0, None, "124", np.ones((3, 1)),
                                    [[1.0, 2.0], [4.0]], [1.0, [2.0, 4.0]]], ids=repr)
 def test_a_vector_of_the_wrong_shape_is_refused(site, value):

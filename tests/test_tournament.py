@@ -707,6 +707,56 @@ def test_a_root_is_named_like_a_query_id(cyclic3, root):
         assert str(info.value) == str(query.value)
 
 
+def _vertex_sites(t, v):
+    """Every site that reads a vertex id, with ``v`` for vertex 1 of the
+    3-vertex ``t``: each returns what it reads, or raises."""
+    return {
+        "prob": lambda: t.prob(v, 0),
+        "log_odds": lambda: t.log_odds(v, 0),
+        "pair_index": lambda: bt.pair_index(3, v, 0),
+        "set_prob": lambda: bt.set_prob(t, v, 0, 0.25).prob(1, 0),
+        "repair_with_root": lambda: bt.repair_with_root(t, v)[0],
+        "scores_from_root": lambda: bt.scores_from_root(t, v).tolist(),
+        "Triangle": lambda: bt.Triangle(v, 0, 2),
+        "DirectedCycle": lambda: bt.DirectedCycle((v, 0, 2)),
+        "new_tournament": lambda: bt.new_tournament(3, [(v, 0, 0.25), (0, 2, 0.5), (2, v, 0.5)]),
+        "TreeWeights": lambda: bt.TreeWeights(3, [(v, 0, 0.25), (v, 2, 0.5)]),
+        "check_fundamental_cycles": lambda: bt.check_fundamental_cycles(t, [(v, 0), (v, 2)]),
+    }
+
+
+def _id_arrays(v):
+    """``v`` in an object array and in a typed array of its own dtype, each
+    of one entry: what the edge queries take for one id."""
+    held = np.empty(1, dtype=object)
+    held[0] = v
+    return held, np.array([v])
+
+
+@pytest.mark.parametrize("v, admitted", [
+    (np.True_, True), (True, True), (np.timedelta64(1), False),
+], ids=repr)
+def test_an_id_gets_one_verdict_at_every_vertex_site(cyclic3, v, admitted):
+    # np.True_ and True are vertex 1, as in a bool array; a duration is no
+    # id, bare, in an object array or as an m8 array
+    calls = _vertex_sites(cyclic3, v)
+    for form, ids in zip(("object array", "typed array"), _id_arrays(v)):
+        calls |= {f"{name} on an {form}": call for name, call in _vertex_sites(cyclic3, ids).items()
+                  if name in ("prob", "log_odds", "pair_index")}
+    verdicts = {}
+    for name, call in calls.items():
+        try:
+            call()
+            verdicts[name] = True
+        except bt.TournamentError:
+            verdicts[name] = False
+    assert verdicts == dict.fromkeys(calls, admitted)
+    if admitted:
+        ones = _vertex_sites(cyclic3, 1)
+        for name, call in _vertex_sites(cyclic3, v).items():
+            assert call() == ones[name]()
+
+
 @pytest.mark.parametrize("x, y", [
     ([0, 1], 2), (np.array([0]), [1]), (np.array(0), 1), ((0,), (1,)), ([], 1),
 ])
