@@ -135,10 +135,8 @@ def _read(source: str | IO[str], tag: str):
             if labels is not None:
                 raise ParseError(lineno, "duplicate labels= line")
             labels = tuple(s.strip(" \t") for s in line[len("labels="):].split(","))
-            if any(s.split() != [s] for s in labels):
-                raise ParseError(lineno, "labels must be nonempty, no whitespace")
-            if len(set(labels)) != len(labels):
-                raise ParseError(lineno, "labels are not unique")
+            if fault := _label_fault(labels):
+                raise ParseError(lineno, fault)
             continue
         if n is None:
             raise ParseError(lineno, "body record before n= line")
@@ -214,9 +212,19 @@ def serialize_tournament(
         raise LabelError(f"labels must be a sequence of text, got {labels!r}") from None
     if count != t.n:
         raise LabelError(f"{count} labels for n={t.n} vertices")
-    if any(not isinstance(s, str) or "," in s or s.split() != [s] for s in labels):
-        raise LabelError("labels must be nonempty, without commas or whitespace")
+    if fault := _label_fault(labels):
+        raise LabelError(fault)
+    if any("," in s for s in labels):
+        raise LabelError("labels must hold no comma")
     return _serialize(TOURNAMENT_TAG, t.n, t.edges(), "labels=" + ",".join(labels))
+
+
+def _label_fault(labels) -> str | None:
+    """The one label rule, for the reader and the writer: each label is
+    nonempty text without whitespace, and none repeats; else what fails."""
+    if any(not isinstance(s, str) or s.split() != [s] for s in labels):
+        return "labels must be nonempty text, no whitespace"
+    return "labels are not unique" if len(set(labels)) != len(labels) else None
 
 
 def _serialize(tag: str, n: int, records, *header: str) -> str:

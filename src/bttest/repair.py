@@ -45,6 +45,7 @@ from .tournament import (
     _check_param,
     _check_positive,
     _check_vertex,
+    _frozen,
     _pair_index,
     _small_side,
     _with_pairs,
@@ -246,8 +247,9 @@ def extend_tree(tw: TreeWeights) -> StochasticTournament:
     rise[np.where(up, u, v)] = np.negative(ell, out=ell, where=up)
     log_pi = _tree_potential(parent, depth, rise[1:])
 
-    lo, hi = np.triu_indices(n, k=1)
-    weights, low_wins, outside = _small_side(log_pi[hi] - log_pi[lo])
+    # L[lo, hi] = log_pi[hi] - log_pi[lo] over the pairs lo < hi, row by row
+    weights, low_wins, outside = _small_side(
+        np.concatenate([log_pi[x + 1:] - log_pi[x] for x in range(n - 1)]))
     # a tree edge keeps its input weight, so a floor there is no clamp
     tree = _pair_index(n, np.minimum(u, v), np.maximum(u, v))
     clamped = int(outside.sum() - outside[tree].sum())
@@ -257,7 +259,8 @@ def extend_tree(tw: TreeWeights) -> StochasticTournament:
             ClampWarning,
             stacklevel=2,
         )
-    return _with_pairs(StochasticTournament(n, weights, low_wins), u, v, w)
+    weights[tree], low_wins[tree] = w, u < v
+    return StochasticTournament(n, _frozen(weights), _frozen(low_wins))
 
 
 def fit_scores_least_squares(t: StochasticTournament) -> np.ndarray:

@@ -71,17 +71,8 @@ def _check_param(name: str, value, rule: str, inside) -> None:
     ParameterOutOfRangeError naming ``rule``."""
     if _non_number(value):
         raise ParameterOutOfRangeError(f"{name} must be a real number, got {value!r}")
-    if not _holds(inside, value):
+    if not inside(value):
         raise ParameterOutOfRangeError(f"{name} must be {rule}, got {value}")
-
-
-def _holds(inside, value) -> bool:
-    """``inside(value)``, or False for a ``Decimal`` NaN, which raises
-    rather than compare."""
-    try:
-        return inside(value)
-    except ArithmeticError:
-        return False
 
 
 def _check_positive(name: str, values, n: int | None = None) -> np.ndarray:
@@ -248,21 +239,22 @@ def _named(v):
 def _non_number(v) -> bool:
     """Not a number: the one number rule, for every numeric parameter,
     weight and vector entry.  A number is a ``numbers.Real``, where numpy's
-    real scalars and ``Fraction`` register, or a ``decimal.Decimal``, or a
-    0-d array of one, judged by its element; not a bool, which is a flag,
-    nor ``np.timedelta64``, a duration that numpy registers there too.  An
+    real scalars and ``Fraction`` register, or a ``decimal.Decimal`` but a
+    NaN, which has no order (nor, when signaling, a float), or a 0-d array
+    of one, judged by its element; not a bool, which is a flag, nor
+    ``np.timedelta64``, a duration that numpy registers there too.  An
     array of one or more dimensions is no number, one element or many."""
     if isinstance(v, np.ndarray) and v.ndim == 0:
         v = v[()]
-    return _non_number_type(type(v))
+    return v.is_nan() if isinstance(v, decimal.Decimal) else _non_number_type(type(v))
 
 
 @functools.cache
 def _non_number_type(kind: type) -> bool:
-    """:func:`_non_number` of every value of type ``kind`` but a 0-d array.
-    Cached per type, since the tester checks its parameters on every run."""
-    return (not issubclass(kind, (numbers.Real, decimal.Decimal))
-            or issubclass(kind, (bool, np.bool_, np.timedelta64)))
+    """:func:`_non_number` of every value of type ``kind`` but a 0-d array
+    or a ``Decimal``, which is judged by value, so True here.  Cached per
+    type, since the tester checks its parameters on every run."""
+    return not issubclass(kind, numbers.Real) or issubclass(kind, (bool, np.bool_, np.timedelta64))
 
 
 def _screen(values, given: np.ndarray, refused_type, refused) -> tuple[int, object] | None:
@@ -291,7 +283,7 @@ def _real(w, x, y):
         raise OutOfRangeProbabilityError(
             f"p={w!r} for pair ({x}, {y}) is not a real number"
         )
-    if not _holds(lambda v: _FLOOR <= v <= 1.0 - ETA, w):  # NaN too
+    if not _FLOOR <= w <= 1.0 - ETA:  # NaN too
         raise OutOfRangeProbabilityError(
             f"p={w} for pair ({x}, {y}) outside [{ETA}, {1.0 - ETA}]"
         )

@@ -184,7 +184,7 @@ def reference_read(text, tag):
                 raise ParseError(lineno, "duplicate labels= line")
             labels = tuple(s.strip(" \t") for s in line[len("labels="):].split(","))
             if any(s.split() != [s] for s in labels):
-                raise ParseError(lineno, "labels must be nonempty, no whitespace")
+                raise ParseError(lineno, "labels must be nonempty text, no whitespace")
             if len(set(labels)) != len(labels):
                 raise ParseError(lineno, "labels are not unique")
             continue

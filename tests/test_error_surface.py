@@ -1,9 +1,9 @@
 """The error surface, swept: every public callable in ``bttest.__all__`` and
 every query method of a tournament, given a value of the wrong type, shape
-or size for any one argument, or for any one field of one record of an
-argument that holds records, returns or raises a ``TournamentError``.  No
-raw numpy or Python exception escapes, apart from the few written out in
-``OUT_OF_SCOPE``.
+or size for any one argument, for any one field of one record of an
+argument that holds records, or for any one entry of a vector argument,
+returns or raises a ``TournamentError``.  No raw numpy or Python exception
+escapes, apart from the few written out in ``OUT_OF_SCOPE``.
 
 Each call starts from one valid set of arguments, read by parameter name
 from ``VALID`` (or ``VALID_FOR`` where a name means something else), and
@@ -51,8 +51,9 @@ VALID_FOR = {"parse_tree": {"source": bt.serialize_tree(bt.TreeWeights(4, TREE))
 #: Values of the wrong type or shape for any parameter.
 WRONG = [
     None, "0.1", "", b"0", 0.5j, True, np.True_, object(), {}, [], (0.1,), {0.1},
-    Decimal("NaN"), np.timedelta64(1, "s"), np.array("0.1"), np.array([0.1, 0.2]),
-    np.array([0.1]), np.array([]), np.ones((2, 2)), [[0.1, 0.2], [0.3]], [0.1, [0.2]],
+    Decimal("NaN"), Decimal("sNaN"), np.timedelta64(1, "s"), np.array("0.1"),
+    np.array([0.1, 0.2]), np.array([0.1]), np.array([]), np.ones((2, 2)),
+    [[0.1, 0.2], [0.3]], [0.1, [0.2]],
 ]
 
 #: Values of the wrong size for any parameter: negative, not finite.
@@ -66,11 +67,12 @@ TOO_LARGE = {
 }
 
 
-#: Arguments that hold records, a field of which the sweep also replaces
-#: (a vertex of ``vertices`` stands as a record of its own), and the values
-#: it puts there: every wrong value and size above, ids past any tournament
-#: here, and durations, bare and as an array.
-RECORDS = ("entries", "edges", "tree_edges", "vertices")
+#: Arguments that hold records or entries, a field of which the sweep also
+#: replaces (a vertex of ``vertices`` and an entry of a vector stand as a
+#: record of their own), and the values it puts there: every wrong value and
+#: size above, ids past any tournament here, and durations, bare and as an
+#: array.
+RECORDS = ("entries", "edges", "tree_edges", "vertices", "scores", "pi", "weights", "low_wins")
 WRONG_FIELD = [*WRONG, *WRONG_SIZE, *TOO_LARGE["x"], np.timedelta64(1), np.array([1], dtype="m8")]
 
 

@@ -6,6 +6,7 @@ that is not one and a record of the wrong length raise library errors too.
 On none of the inputs below does a raw numpy or Python error escape."""
 
 import io
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -246,6 +247,34 @@ def test_a_weight_outside_the_band_gives_one_message(site):
     with pytest.raises(bt.OutOfRangeProbabilityError,
                        match=r"^p=1\.5 for pair \(\d, \d\) outside \[1e-12, 0\.999999999999\]$"):
         WEIGHTS[site](1.5)
+
+
+def _entry(call, form):
+    """``call`` with the value under test as the last entry of a vector,
+    in a list or, for ``form == "object"``, an object array."""
+    if form == "object":
+        return lambda v: call(_objects(1.0, 2.0, v))
+    return lambda v: call([1.0, 2.0, v])
+
+
+#: Every site that takes a number: each scalar parameter, each vector
+#: entry in a list and in an object array, and each weight.
+NUMBER_SITES = {
+    **SCALARS,
+    **{f"{site} {form} entry": _entry(call, form)
+       for site, call in VECTORS.items() for form in ("list", "object")},
+    **{f"{site} weight": call for site, call in WEIGHTS.items()},
+}
+
+
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_every_nan_gets_one_verdict_at_each_number_site(site):
+    raised = []
+    for value in (float("nan"), Decimal("NaN"), Decimal("sNaN")):
+        with pytest.raises(bt.TournamentError) as exc:
+            NUMBER_SITES[site](value)
+        raised.append(type(exc.value))
+    assert raised == [raised[0]] * 3
 
 
 @pytest.mark.parametrize("site", MALFORMED)
