@@ -145,7 +145,7 @@ def is_eps_balanced(t: StochasticTournament, tri: Triangle, eps: float) -> bool:
     depend on the orientation.  ``eps`` may exceed 1 (needed when checking
     7-eps balance for larger eps).
     """
-    _check_param("eps", eps, "> 0", lambda e: e > 0.0)
+    eps = _check_param("eps", eps, "> 0", lambda e: e > 0.0)
     return abs(log_triangle_ratio(t, tri)) <= math.log1p(eps)
 
 
@@ -300,7 +300,7 @@ class TreeWeights:
     def __post_init__(self):
         u, v, w = _columns(self.edges, ("u", "v", "w"))
         _tree_structure(self.n, zip(u, v))  # validates
-        edges = tuple((int(a), int(b), float(_real(c, a, b))) for a, b, c in zip(u, v, w))
+        edges = tuple((int(a), int(b), _real(c, a, b)) for a, b, c in zip(u, v, w))
         object.__setattr__(self, "n", _check_n(self.n))
         object.__setattr__(self, "edges", edges)
 

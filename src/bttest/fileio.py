@@ -78,14 +78,14 @@ _RECORD = np.dtype([("x", np.int64), ("y", np.int64), ("value", np.float64)])
 _WARNINGS_LOCK = threading.Lock()
 
 
-def _columns(lines: list[str], all_ascii: bool = False) -> np.ndarray | None:
+def _columns(lines: list[str], all_ascii: bool) -> np.ndarray | None:
     """The body lines as one ``(x, y, value)`` record array, or None where
     ``np.loadtxt`` refuses them: any conversion or column-count error, and
     any warning (an integer column holding ``1.0``; no data, where no line
     holds a record).  Non-ASCII lines are refused up front, since loadtxt
-    reads some letters as digits (``"1\u01fe"`` as the integer 472).  A
-    caller whose whole text is ASCII passes ``all_ascii``, which CPython's
-    ``str.isascii`` knows without a scan, and no line is checked."""
+    reads some letters as digits (``"1\u01fe"`` as the integer 472).  Where
+    ``all_ascii`` says the whole text is ASCII, which CPython's
+    ``str.isascii`` knows without a scan, no line is checked."""
     if not (all_ascii or all(map(str.isascii, lines))):
         return None
     with _WARNINGS_LOCK, warnings.catch_warnings():

@@ -46,6 +46,7 @@ from .tournament import (
     _check_positive,
     _check_vertex,
     _frozen,
+    _number,
     _pair_index,
     _small_side,
     _with_pairs,
@@ -105,7 +106,8 @@ def repair_with_root(
     # edge log-odds of triangle (u, v, r) traversed u -> v -> r -> u, with
     # L[u, v] of the stored edge u -> v the logit of its weight
     e = np.stack((logit(t.weights), col[v], -col[u]))
-    idx = np.flatnonzero((np.abs(_curl(e)) > TAU) & (u != r) & (v != r))
+    # a pair through r has a curl of exactly 0: L is exactly skew and col[r] = 0
+    idx = np.flatnonzero(np.abs(_curl(e)) > TAU)
     u, v, e, w = u[idx], v[idx], e[:, idx], t.weights[idx]
     # L[u, r] + L[r, v], reordered exactly
     new, keep, clamp = _small_side(-(e[1] + e[2]))
@@ -170,8 +172,7 @@ def verify_approx_bt(
     for all ordered pairs.  Scale-free in ``scores``.
     """
     p, pred = _observed_and_predicted(t, scores)
-    _check_param("eps", eps, "in (0, 1]", lambda e: 0.0 < e <= 1.0)
-    return _within(p, pred, eps)
+    return _within(p, pred, _check_param("eps", eps, "in (0, 1]", lambda e: 0.0 < e <= 1.0))
 
 
 def _observed_and_predicted(
@@ -219,7 +220,7 @@ def check_seven_eps(
         raise PreconditionFailedError(
             f"(t, pi) is not {eps}-approximately reversible"
         )
-    bound = math.log1p(7.0 * eps)
+    bound = math.log1p(7.0 * _number(eps))  # check_reversible admitted eps
     return all(np.all(np.abs(_curl(e)) <= bound) for _, _, e in _triangle_slabs(*t._pairs()))
 
 

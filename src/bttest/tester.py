@@ -31,7 +31,8 @@ import numpy as np
 from .balance import Triangle, log_triangle_ratio
 from .errors import ParameterOutOfRangeError
 from .tournament import (
-    MAX_PAIRS, TAU, StochasticTournament, _check_n, _check_param, _check_seed, _is_integer, _rng)
+    MAX_PAIRS, TAU, StochasticTournament, _check_integer, _check_n, _check_param, _check_seed,
+    _number, _rng)
 
 #: Triangles per chunk at most; bounds the tester's memory.
 _CHUNK = 1024
@@ -96,8 +97,8 @@ def sample_size(eps: float, delta: float = 1.0 / 3.0) -> int:
     it, so a result above ``MAX_PAIRS`` (2**40, admitted at delta = 1/3 for
     every eps >= 1e-12) raises ParameterOutOfRangeError.
     """
-    _check_param("eps", eps, "in (0, 1)", lambda e: 0.0 < e < 1.0)
-    _check_param("delta", delta, "in (0, 1)", lambda d: 0.0 < d < 1.0)
+    eps = _check_param("eps", eps, "in (0, 1)", lambda e: 0.0 < e < 1.0)
+    delta = _check_param("delta", delta, "in (0, 1)", lambda d: 0.0 < d < 1.0)
     k = math.log(1.0 / delta) / -math.log1p(-eps)
     if not k <= MAX_PAIRS:  # inf too
         raise ParameterOutOfRangeError(
@@ -161,7 +162,8 @@ def test_bt(t: StochasticTournament, cfg: TesterConfig) -> TestVerdict:
     """
     _check_n(t.n, 3)
     k = sample_size(cfg.eps, cfg.delta)
-    bound = TAU if cfg.eps_balance is None else math.log1p(cfg.eps_balance)
+    # TesterConfig admitted eps_balance
+    bound = TAU if cfg.eps_balance is None else math.log1p(_number(cfg.eps_balance))
     used = 0
     for tri in _triangles(_rng(cfg.seed), t.n, k):
         bad = abs(log_triangle_ratio(t, tri)) > bound
@@ -185,8 +187,8 @@ def estimate_unbalanced_fraction(
     any draw.
     """
     _check_n(t.n, 3)
-    _check_param("samples", samples, "an integer in [1, 2**40]",
-                 lambda k: _is_integer(k) and 1 <= k <= MAX_PAIRS)
+    samples = _check_integer("samples", samples, "an integer in [1, 2**40]",
+                             lambda k: 1 <= k <= MAX_PAIRS)
     chunks = _triangles(_rng(seed), t.n, samples, _CHUNK)
     bad = sum(np.count_nonzero(abs(log_triangle_ratio(t, c)) > TAU) for c in chunks)
     return bad / samples

@@ -65,38 +65,49 @@ MAX_PAIRS = 2**40
 _MAX_N = (1 + math.isqrt(1 + 8 * MAX_PAIRS)) // 2
 
 
-def _check_param(name: str, value, rule: str, inside) -> None:
-    """The one rule for a scalar parameter: a number under :func:`_non_number`
-    for which ``inside(value)`` holds (written so that NaN fails it), else
-    ParameterOutOfRangeError naming ``rule``."""
-    if _non_number(value):
+def _check_param(name: str, value, rule: str, inside) -> float:
+    """The one rule for a real parameter: the float of ``value`` under
+    :func:`_number`, returned when ``inside`` holds for it (written so that
+    NaN fails it); else ParameterOutOfRangeError naming ``rule`` and the
+    float it judged."""
+    f = _number(value)
+    if f is None:
         raise ParameterOutOfRangeError(f"{name} must be a real number, got {value!r}")
-    if not inside(value):
-        raise ParameterOutOfRangeError(f"{name} must be {rule}, got {value}")
+    if not inside(f):
+        raise ParameterOutOfRangeError(f"{name} must be {rule}, got {f}")
+    return f
+
+
+def _check_integer(name: str, value, rule: str, inside) -> int:
+    """The one rule for an integer parameter: an ``int`` or numpy integer,
+    not a bool, for which ``inside`` holds, returned as an ``int``; else
+    ParameterOutOfRangeError naming ``rule``."""
+    if isinstance(value, (bool, np.bool_)) or not (_is_integer(value) and inside(value)):
+        raise ParameterOutOfRangeError(f"{name} must be {rule}, got {_named(value)!r}")
+    return int(value)
 
 
 def _check_positive(name: str, values, n: int | None = None) -> np.ndarray:
     """The one rule for a score vector or measure: a 1-D vector of ``n``
     entries (at least 2 when ``n`` is None), each a number under
-    :func:`_non_number`, finite and > 0; returned as float64."""
+    :func:`_number`, finite and > 0; returned as float64."""
     given = _shaped(values)
     if given.ndim != 1 or (given.size < 2 if n is None else given.size != n):
         raise DimensionMismatchError(
             f"{name} must be a 1-D vector of length {'>= 2' if n is None else n}")
-    bad = _screen(values, given, _non_number_type, _non_number)
+    a, bad = _floats(values, given, np.asarray)
     if bad:
         raise ParameterOutOfRangeError(f"{name} entry {bad[1]!r} is not a real number")
-    a = np.asarray(given, dtype=float)
     if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
         raise ParameterOutOfRangeError(f"{name} must be strictly positive and finite")
     return a
 
 
-def _check_seed(seed) -> None:
+def _check_seed(seed) -> int:
     """The one rule for a seed: an ``int`` or numpy integer >= 0, not a bool.
     None is refused too, since it would draw OS entropy and the run could
     not be repeated."""
-    _check_param("seed", seed, "an integer >= 0", lambda s: _is_integer(s) and s >= 0)
+    return _check_integer("seed", seed, "an integer >= 0", lambda s: s >= 0)
 
 
 def _check_n(n, least: int = 2) -> int:
@@ -120,8 +131,7 @@ def _check_n(n, least: int = 2) -> int:
 def _rng(seed) -> np.random.Generator:
     """The PCG64 generator of a seed that passes :func:`_check_seed`: what
     ``np.random.default_rng(seed)`` returns, built in half its time."""
-    _check_seed(seed)
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_check_seed(seed)))
 
 
 def pair_index(n: int, x, y):
@@ -236,24 +246,34 @@ def _named(v):
     return v.item() if isinstance(v, np.generic) and not isinstance(v, np.timedelta64) else v
 
 
-def _non_number(v) -> bool:
-    """Not a number: the one number rule, for every numeric parameter,
-    weight and vector entry.  A number is a ``numbers.Real``, where numpy's
-    real scalars and ``Fraction`` register, or a ``decimal.Decimal`` but a
-    NaN, which has no order (nor, when signaling, a float), or a 0-d array
-    of one, judged by its element; not a bool, which is a flag, nor
-    ``np.timedelta64``, a duration that numpy registers there too.  An
-    array of one or more dimensions is no number, one element or many."""
+def _number(v) -> float | None:
+    """The float of a number, or None for no number: the one number rule,
+    for every real parameter, weight and vector entry.  A number is a
+    ``numbers.Real``, where numpy's real scalars and ``Fraction`` register,
+    or a ``decimal.Decimal`` but a NaN, which has no order (nor, when
+    signaling, a float), or a 0-d array of one, judged by its element; not
+    a bool, which is a flag, nor ``np.timedelta64``, a duration that numpy
+    registers there too.  A number is judged and used as ``float(v)``, so an
+    ``int`` or ``Fraction`` past the float range, which has none, is no
+    number.  An array of one or more dimensions is no number, one element
+    or many."""
     if isinstance(v, np.ndarray) and v.ndim == 0:
         v = v[()]
-    return v.is_nan() if isinstance(v, decimal.Decimal) else _non_number_type(type(v))
+    if isinstance(v, decimal.Decimal):
+        return None if v.is_nan() else float(v)
+    if _non_number_type(type(v)):
+        return None
+    try:
+        return float(v)
+    except OverflowError:  # an int or Fraction past the float range
+        return None
 
 
 @functools.cache
 def _non_number_type(kind: type) -> bool:
-    """:func:`_non_number` of every value of type ``kind`` but a 0-d array
-    or a ``Decimal``, which is judged by value, so True here.  Cached per
-    type, since the tester checks its parameters on every run."""
+    """True where :func:`_number` refuses every value of type ``kind`` but a
+    0-d array or a ``Decimal``, which is judged by value, so True here.
+    Cached per type, since the tester checks its parameters on every run."""
     return not issubclass(kind, numbers.Real) or issubclass(kind, (bool, np.bool_, np.timedelta64))
 
 
@@ -274,20 +294,36 @@ def _screen(values, given: np.ndarray, refused_type, refused) -> tuple[int, obje
     return None
 
 
-def _real(w, x, y):
-    """``w`` as given, unless :func:`_non_number` refuses it or it lies
-    outside ``[_FLOOR, 1 - ETA]``: then an error that names the pair (x, y)
-    it was given for.  The message says ``[ETA, 1 - ETA]``: every number the
-    floor refuses lies below ETA too."""
-    if _non_number(w):
+def _floats(values, given: np.ndarray, convert):
+    """The number rule on a vector: ``(convert(given, np.float64), None)``,
+    or ``(None, (i, v))`` for its first entry ``v`` that has no float under
+    :func:`_number`, at position ``i``.  Entries are screened by type under
+    :func:`_screen`; an ``int`` or ``Fraction`` past the float range, which
+    only the conversion meets, is then looked for entry by entry."""
+    bad = _screen(values, given, _non_number_type, lambda v: _number(v) is None)
+    if not bad:
+        try:
+            return convert(given, np.float64), None
+        except OverflowError:  # an object array, holding the caller's entries
+            bad = next((i, v) for i, v in enumerate(given) if _number(v) is None)
+    return None, bad
+
+
+def _real(w, x, y) -> float:
+    """The float of ``w`` under :func:`_number` when it lies in
+    ``[_FLOOR, 1 - ETA]``; else an error that names the pair (x, y) it was
+    given for.  The message says ``[ETA, 1 - ETA]``: every number the floor
+    refuses lies below ETA too."""
+    f = _number(w)
+    if f is None:
         raise OutOfRangeProbabilityError(
             f"p={w!r} for pair ({x}, {y}) is not a real number"
         )
-    if not _FLOOR <= w <= 1.0 - ETA:  # NaN too
+    if not _FLOOR <= f <= 1.0 - ETA:  # NaN too
         raise OutOfRangeProbabilityError(
-            f"p={w} for pair ({x}, {y}) outside [{ETA}, {1.0 - ETA}]"
+            f"p={f} for pair ({x}, {y}) outside [{ETA}, {1.0 - ETA}]"
         )
-    return w
+    return f
 
 
 def _shaped(values) -> np.ndarray:
@@ -325,8 +361,17 @@ def logistic(z):
     """Inverse of :func:`logit`, ``1 / (1 + e^-z)``: 0.0 where ``e^-z``
     overflows.  Scalars and arrays go through the same ``np.exp``, and no
     overflow warning escapes."""
+    return _logistic_of_minus(np.negative(z))
+
+
+def _logistic_of_minus(a):
+    """``logistic(-a)``, ``1 / (1 + e^a)``: the one logistic formula,
+    computed in ``a`` itself when it is a float array."""
+    out = a if isinstance(a, np.ndarray) and a.dtype.kind == "f" else None
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        a = np.exp(a, out=out)
+    a += 1.0
+    return np.divide(1.0, a, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,10 +432,9 @@ class StochasticTournament:
             lo, hi = _pair_of(self.n, i)
             return (lo, hi) if low_wins[i] else (hi, lo)
 
-        bad = _screen(self.weights, given, _non_number_type, _non_number)
+        weights, bad = _floats(self.weights, given, _adopt)
         if bad:
             _real(bad[1], *pair(bad[0]))  # raises
-        weights = _adopt(given, np.float64)
         if not (_FLOOR <= weights.min() and weights.max() <= 1.0 - ETA):  # NaN too
             inside = _FLOOR <= weights
             inside &= weights <= 1.0 - ETA
@@ -585,7 +629,7 @@ def check_reversible(
     probability matrix coincide because ``q_xy = p_xy / n``.
     """
     pi = _check_positive("pi", pi, t.n)
-    _check_param("eps", eps, ">= 0", lambda e: e >= 0.0)
+    eps = _check_param("eps", eps, ">= 0", lambda e: e >= 0.0)
     # pi / max first: at pi ~ 1e-300, log(pi) ~ -690 has an ulp of 1e-13
     with np.errstate(divide="ignore", invalid="ignore"):  # a spread past 1e323 gives 0
         return _is_gradient(t, np.log(pi / pi.max()), TAU if eps == 0.0 else np.log1p(eps))
@@ -640,7 +684,7 @@ def gen_perturbed(
     if not isinstance(base, StochasticTournament):
         raise ParameterOutOfRangeError(
             f"base must be a StochasticTournament, got {type(base).__name__}")
-    _check_param("noise", noise, "in [0, 0.5)", lambda e: 0.0 <= e < 0.5)
+    noise = _check_param("noise", noise, "in [0, 0.5)", lambda e: 0.0 <= e < 0.5)
     w = _rng(seed).uniform(-noise, noise, size=base.weights.size)
     np.add(base.weights, w, out=w)
     np.clip(w, ETA, 1.0 - ETA, out=w)
@@ -682,8 +726,9 @@ def _small_side(ell):
     """Stored form of pairs whose first vertex beats the second at log-odds
     ``ell``: the small side's weight ``logistic(-|ell|)`` (at most 1/2)
     floored at ETA, whether the first vertex is its tail (also on a tie),
-    and where the floor moved a weight by more than rounding."""
-    weights = logistic(-np.abs(ell))
+    and where the floor moved a weight by more than rounding.  The weights
+    are computed in one buffer."""
+    weights = _logistic_of_minus(np.abs(ell))
     # a weight whose exact value is ETA can round a few ulp below it
     floored = weights < ETA - 16 * np.spacing(ETA)
-    return np.maximum(weights, ETA), ell <= 0.0, floored
+    return np.maximum(weights, ETA, out=weights), ell <= 0.0, floored

@@ -313,6 +313,7 @@ def reference_gen_cyclic(n, p):
 def reference_gen_perturbed(base, noise, seed):
     """``gen_perturbed`` drawing its noise, adding and clamping in three
     arrays."""
+    noise = float(noise)  # a number is judged, named and used as its float
     if not 0.0 <= noise < 0.5:
         raise bt.ParameterOutOfRangeError(f"noise must be in [0, 0.5), got {noise}")
     bt.tournament._check_seed(seed)

@@ -1,9 +1,12 @@
 """The error surface, swept: every public callable in ``bttest.__all__`` and
 every query method of a tournament, given a value of the wrong type, shape
-or size for any one argument, for any one field of one record of an
-argument that holds records, or for any one entry of a vector argument,
-returns or raises a ``TournamentError``.  No raw numpy or Python exception
-escapes, apart from the few written out in ``OUT_OF_SCOPE``.
+or size, or a number judged by its float, for any one argument, for any
+one field of one record of an argument that holds records, or for any one
+entry of a vector argument, returns or raises a ``TournamentError``.  No
+raw numpy or Python exception escapes, apart from the few written out in
+``OUT_OF_SCOPE``.  Both sweeps run twice: in the default decimal context
+and in one that traps ``FloatOperation``, where a ``Decimal`` that meets a
+float raises.
 
 Each call starts from one valid set of arguments, read by parameter name
 from ``VALID`` (or ``VALID_FOR`` where a name means something else), and
@@ -13,12 +16,16 @@ costs real work: counts are only far past ``MAX_PAIRS`` pairs, which
 ``_check_n`` refuses before anything is allocated, and no sample count is
 valid and large."""
 
+import contextlib
+import decimal
 import inspect
 import io
 import os
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import bttest as bt
 
@@ -59,6 +66,11 @@ WRONG = [
 #: Values of the wrong size for any parameter: negative, not finite.
 WRONG_SIZE = [-1, -2**70, -1e-300, -1.0, float("nan"), float("inf"), float("-inf")]
 
+#: Numbers judged as their float, for any parameter: an int past the float
+#: range, which has none, a Fraction whose float is 0.0 and one whose float
+#: is 1.0, and a Decimal, valid wherever a real is taken.
+REALS = [10**400, Fraction(1, 10**400), 1 - Fraction(1, 10**400), Decimal("0.3")]
+
 #: Further wrong sizes by parameter name: counts past the pair ceiling and
 #: vertex ids past any tournament here.
 TOO_LARGE = {
@@ -70,10 +82,11 @@ TOO_LARGE = {
 #: Arguments that hold records or entries, a field of which the sweep also
 #: replaces (a vertex of ``vertices`` and an entry of a vector stand as a
 #: record of their own), and the values it puts there: every wrong value and
-#: size above, ids past any tournament here, and durations, bare and as an
-#: array.
+#: size and every number above, ids past any tournament here, and durations,
+#: bare and as an array.
 RECORDS = ("entries", "edges", "tree_edges", "vertices", "scores", "pi", "weights", "low_wins")
-WRONG_FIELD = [*WRONG, *WRONG_SIZE, *TOO_LARGE["x"], np.timedelta64(1), np.array([1], dtype="m8")]
+WRONG_FIELD = [*WRONG, *WRONG_SIZE, *REALS, *TOO_LARGE["x"], np.timedelta64(1),
+               np.array([1], dtype="m8")]
 
 
 def binary():
@@ -122,6 +135,19 @@ def _callables():
 CALLS = _callables()
 
 
+@contextlib.contextmanager
+def _float_operation_trapped():
+    """A decimal context in which a ``Decimal`` that meets a float raises
+    ``decimal.FloatOperation``."""
+    with decimal.localcontext() as context:
+        context.traps[decimal.FloatOperation] = True
+        yield
+
+
+#: The decimal contexts each sweep runs in.
+CONTEXTS = {"default": contextlib.nullcontext, "FloatOperation trapped": _float_operation_trapped}
+
+
 def _run(call, kwargs):
     """``call(**kwargs)``, with a lazy result drawn to its end."""
     result = call(**kwargs)
@@ -139,13 +165,15 @@ def test_every_public_callable_runs_on_its_valid_arguments(tmp_path):
         _run(call, kwargs)
 
 
-def test_a_wrong_argument_raises_a_library_error():
+@pytest.mark.parametrize("context", CONTEXTS.values(), ids=CONTEXTS)
+def test_a_wrong_argument_raises_a_library_error(context):
     escapes = []
     for name, (call, kwargs) in CALLS.items():
         for arg in kwargs:
-            for value in [*WRONG, *WRONG_SIZE, *TOO_LARGE.get(arg, ()), binary()]:
+            for value in [*WRONG, *WRONG_SIZE, *REALS, *TOO_LARGE.get(arg, ()), binary()]:
                 try:
-                    _run(call, {**kwargs, arg: value})
+                    with context():
+                        _run(call, {**kwargs, arg: value})
                 except bt.TournamentError:
                     pass
                 except Exception as exc:  # noqa: BLE001 - the assertion is that none escapes
@@ -162,7 +190,8 @@ def _with_field(records, i, j, value):
     return rows
 
 
-def test_a_wrong_record_field_raises_a_library_error():
+@pytest.mark.parametrize("context", CONTEXTS.values(), ids=CONTEXTS)
+def test_a_wrong_record_field_raises_a_library_error(context):
     escapes = []
     for name, (call, kwargs) in CALLS.items():
         for arg in kwargs.keys() & RECORDS:
@@ -170,7 +199,8 @@ def test_a_wrong_record_field_raises_a_library_error():
                 for j in range(len(record) if np.ndim(record) else 1):
                     for value in WRONG_FIELD:
                         try:
-                            _run(call, {**kwargs, arg: _with_field(kwargs[arg], i, j, value)})
+                            with context():
+                                _run(call, {**kwargs, arg: _with_field(kwargs[arg], i, j, value)})
                         except bt.TournamentError:
                             pass
                         except Exception as exc:  # noqa: BLE001 - the assertion is that none escapes

@@ -277,6 +277,39 @@ def test_every_nan_gets_one_verdict_at_each_number_site(site):
     assert raised == [raised[0]] * 3
 
 
+#: One call per real parameter and weight, with the value under test as its
+#: argument: a tester config is run, so that what it holds is used.
+REALS = {
+    **{site: call for site, call in SCALARS.items()
+       if not site.startswith("TesterConfig") and "seed" not in site and "samples" not in site},
+    **{f"test_bt {name}": lambda v, name=name: bt.test_bt(
+        bt.gen_cyclic(3, 0.6), bt.TesterConfig(**{"eps": 0.1, name: v}))
+       for name in ("eps", "delta", "eps_balance")},
+    **WEIGHTS,
+}
+
+
+def _outcome(call, value):
+    """What ``call(value)`` returns, or the type and message of its error."""
+    try:
+        return call(value)
+    except bt.TournamentError as exc:
+        return type(exc), str(exc)
+
+
+#: Numbers and the floats they are judged and used as; the last one's exact
+#: value lies past 1 - ETA, the top of the weight band.
+AS_FLOATS = [(Fraction(1, 2), 0.5), (Decimal("0.5"), 0.5), (np.float32(0.5), 0.5),
+             (Fraction(1 - bt.ETA) + Fraction(1, 10**40), 1 - bt.ETA)]
+
+
+@pytest.mark.parametrize("site", REALS)
+def test_a_number_is_judged_and_used_as_its_float(site):
+    # 0.5 lies outside gen_perturbed's noise range: its refusal names 0.5 too
+    for value, as_float in AS_FLOATS:
+        assert _outcome(REALS[site], value) == _outcome(REALS[site], as_float)
+
+
 @pytest.mark.parametrize("site", MALFORMED)
 def test_a_malformed_vertex_count_or_record_is_refused(site):
     call, error, message = MALFORMED[site]

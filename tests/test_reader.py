@@ -187,7 +187,7 @@ class TestNoWarningLeaks:
     def test_refused_bodies_give_none(self, lines):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert fileio._columns(lines) is None
+            assert fileio._columns(lines, all_ascii=False) is None
         assert caught == []
 
 
@@ -253,7 +253,7 @@ class TestPaths:
 
     def test_non_ascii_digits_take_the_record_path(self):
         # np.loadtxt alone reads "2\u01fe" as the integer 482
-        assert fileio._columns(["1 2\u01fe 0.5"]) is None
+        assert fileio._columns(["1 2\u01fe 0.5"], all_ascii=False) is None
         with pytest.raises(bt.ParseError, match="unknown vertex '2\u01fe'") as exc:
             bt.parse_document(f"{TOURNAMENT}\nn=3\n0 1 0.5\n0 2 0.5\n1 2\u01fe 0.5\n")
         assert exc.value.line == 5

@@ -449,6 +449,22 @@ class TestExtendTree:
         # pi = (1, 1e-7, 1e-14) roughly: chord odds about 1e-14, clamped to ETA
         assert t.prob(0, 2) == bt.ETA
 
+    def test_computes_the_chord_weights_in_one_buffer(self):
+        # the result is 9 bytes a pair, its weights made in place from a copy
+        # of the 8-byte log-odds of every pair: about twice the result
+        rng = np.random.default_rng(3)
+        n = 1000
+        tw = bt.TreeWeights(n, tuple((0, v, float(w)) for v, w in
+                                     zip(range(1, n), rng.uniform(0.05, 0.95, n - 1))))
+        bt.extend_tree(bt.TreeWeights(3, ((0, 1, 0.5), (0, 2, 0.5))))  # first-call imports
+        tracemalloc.start()
+        try:
+            t = bt.extend_tree(tw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (t.weights.nbytes + t.low_wins.nbytes)
+
     def test_long_path_clamps_instead_of_overflowing(self):
         # pi falls by a factor 1e12 per step, so the chord (0, 29) has
         # log-odds about -801 and e^801 overflows a float
